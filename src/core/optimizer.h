@@ -11,6 +11,7 @@
 // random provider/site picks.
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "anycast/config.h"
@@ -24,8 +25,9 @@ struct OptimizerOptions {
   std::size_t min_sites = 1;  ///< smallest enabled-site count examined
   /// Largest enabled-site count examined.
   std::size_t max_sites = std::numeric_limits<std::size_t>::max();
-  /// Wall-clock bound for the search (the paper used six hours; seconds
-  /// suffice here because evaluation is cached and vectorized).
+  /// Wall-clock bound for the search (the paper used six hours).  Checked
+  /// every 4,096 subsets visited, starting with the first, whatever the
+  /// size bounds; a search it stops reports `exhausted == false`.
   double time_budget_s = 60.0;
   /// Candidate announcement orders examined per provider subset when
   /// maximizing the consistent-client fraction.
@@ -89,28 +91,51 @@ class Optimizer {
   /// \return the best configurations found plus the search trace.
   [[nodiscard]] SearchOutcome search() const;
 
-  /// \brief Fast predicted evaluation of one configuration using the
-  ///        caches (same result as Predictor::predict but O(targets)).
+  /// \brief Predicted evaluation of one configuration (same result as
+  ///        Predictor::predict under the optimizer-chosen provider order,
+  ///        but O(targets)).
   ///
-  /// NOT safe for concurrent callers: the first evaluation of a provider
-  /// subset fills the mutable `subset_cache_` slot.  Concurrent query
-  /// workloads use `evaluate_uncached`.
+  /// Pure: the provider-subset table is built into a local, so any number
+  /// of threads may call this concurrently on one const Optimizer (the
+  /// serve layer's `score` contract).  The provider order is the one the
+  /// search would choose for the config's provider subset, not the
+  /// config's own; use Predictor::predict for a config-order-faithful
+  /// prediction.
   /// \param config the configuration to score.
   /// \return its predicted means and ordered fraction.
   [[nodiscard]] EvaluatedConfig evaluate(
       const anycast::AnycastConfig& config) const;
 
-  /// \brief Pure (cache-free) evaluation of one configuration — the
-  ///        serve-layer query entry point.  Bit-identical scores to
-  ///        `evaluate`, but the provider-subset precomputation is built
-  ///        into a local and discarded, so this method mutates nothing and
-  ///        any number of threads may call it concurrently on one const
-  ///        Optimizer.  Costs the subset precomputation on every call;
-  ///        batch searches should keep using `evaluate`/`search`.
+  /// \brief Alias of `evaluate`, kept for existing callers.
   /// \param config the configuration to score.
-  /// \return its predicted means and ordered fraction.
+  /// \return `evaluate(config)`.
   [[nodiscard]] EvaluatedConfig evaluate_uncached(
-      const anycast::AnycastConfig& config) const;
+      const anycast::AnycastConfig& config) const {
+    return evaluate(config);
+  }
+
+  /// \brief One provider subset's precomputation: the announcement order
+  ///        maximizing the consistent fraction (§4.5 step 3) and, under
+  ///        it, each target's most-preferred provider.
+  struct SubsetTable {
+    std::vector<std::size_t> providers;     ///< member provider slots, ascending
+    std::vector<std::size_t> arrival_rank;  ///< chosen order, per provider slot
+    /// Targets with a strict total order over the members under the chosen
+    /// order, as a fraction of all targets.
+    double fraction_ordered = 0;
+    /// Per target: its most-preferred member provider slot, or `kNoWinner`
+    /// when it has no total order at provider level.
+    std::vector<std::uint8_t> winner;
+    /// Distinct pairwise-preference patterns over the members: the number
+    /// of tournaments the order search played per candidate order.
+    std::size_t patterns = 0;
+  };
+  static constexpr std::uint8_t kNoWinner = 0xFF;  ///< `SubsetTable::winner`
+
+  /// \brief Builds the table of one provider subset (pure).
+  /// \param provider_mask bit p set = provider slot p is a member.
+  /// \return the subset's chosen order, winners and ordered fraction.
+  [[nodiscard]] SubsetTable subset_table(std::size_t provider_mask) const;
 
   /// \brief Baseline: the k sites with the lowest mean unicast RTT,
   ///        announced in that order (the "12-Greedy" line of Fig. 6).
@@ -132,41 +157,41 @@ class Optimizer {
       std::size_t sites_per_provider, Rng& rng);
 
  private:
-  struct ProviderSubsetCache {
-    bool ready = false;
-    std::vector<std::size_t> providers;      ///< member provider slots
-    std::vector<std::size_t> arrival_rank;   ///< chosen order (per slot)
-    double fraction_ordered = 0;
-    /// Per target: providers in preference order (provider slot values),
-    /// empty = unpredictable at provider level.
-    std::vector<std::vector<std::uint8_t>> ranking;
-  };
-
   struct MaskScore {
     double imputed_mean = std::numeric_limits<double>::infinity();
     double predictable_mean = std::numeric_limits<double>::infinity();
     double fraction_ordered = 0;
   };
-  /// Builds one provider subset's precomputation (order choice + per-target
-  /// ranking) without touching `subset_cache_` — the pure core shared by
-  /// `ensure_cache` and `evaluate_uncached`.
-  [[nodiscard]] ProviderSubsetCache build_cache(std::size_t provider_mask) const;
-  void ensure_cache(std::size_t provider_mask) const;
-  [[nodiscard]] MaskScore score_mask(
-      std::uint32_t site_mask, const ProviderSubsetCache& cache,
-      const std::vector<std::uint32_t>& sample) const;
+  /// Target-major copy of the unicast RTTs: row i holds `sample[i]`'s RTT
+  /// to every site (stride = site count); only the gathered sites' columns
+  /// are filled.
+  [[nodiscard]] std::vector<double> gather_rtts(
+      const std::vector<std::uint32_t>& sample, std::uint32_t site_mask) const;
+  /// Scores one site subset over `sample`, reading RTTs from `rows` (as
+  /// gathered for `sample` over a superset of `site_mask`).
+  [[nodiscard]] MaskScore score_mask(std::uint32_t site_mask,
+                                     const SubsetTable& table,
+                                     const std::vector<std::uint32_t>& sample,
+                                     const std::vector<double>& rows) const;
+  /// Bit p set = provider slot p has a site in `config`.
+  [[nodiscard]] std::size_t provider_mask_of(
+      const anycast::AnycastConfig& config) const;
+  /// Scores `config` over every target under a prebuilt subset table.
+  [[nodiscard]] EvaluatedConfig evaluate_with(
+      const anycast::AnycastConfig& config, const SubsetTable& table) const;
 
   const Predictor& predictor_;
   OptimizerOptions options_;
 
   // Immutable precomputation.
   std::vector<std::size_t> provider_of_site_;
-  std::vector<std::uint32_t> provider_site_mask_;  ///< per provider slot
-  /// Per target, per provider: the provider's sites (local positions in
-  /// deployment site-id space) in that target's preference order; empty =
-  /// inconsistent site-level prefs.
-  std::vector<std::vector<std::vector<std::uint8_t>>> site_ranking_;
-  mutable std::vector<ProviderSubsetCache> subset_cache_;
+  /// Per (target, provider) cell `t * providers + p`: the provider's sites
+  /// in that target's preference order, row `site_order_[cell *
+  /// site_stride_ ...]`, padded with a site id no mask enables; an
+  /// all-padding row = inconsistent site-level prefs.  The stride is the
+  /// largest per-provider site count.
+  std::size_t site_stride_ = 0;
+  std::vector<std::uint8_t> site_order_;
 };
 
 }  // namespace anyopt::core

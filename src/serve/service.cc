@@ -170,10 +170,10 @@ std::string execute_predict(const Snapshot& snapshot,
 std::string execute_score(const Snapshot& snapshot, const Request& request) {
   Result<anycast::AnycastConfig> config = config_of(snapshot, request);
   if (!config.ok()) return render_error(config.error().message);
-  // evaluate_uncached: bit-identical to Optimizer::evaluate but mutates
-  // nothing, so concurrent queries need no locking (core/optimizer.h).
+  // Optimizer::evaluate is pure, so concurrent queries need no locking
+  // (core/optimizer.h).
   const core::EvaluatedConfig scored =
-      snapshot.optimizer().evaluate_uncached(config.value());
+      snapshot.optimizer().evaluate(config.value());
   std::string out;
   append_common(out, snapshot, "score");
   out += ",\"predicted_mean_rtt_ms\":";

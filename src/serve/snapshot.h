@@ -7,7 +7,7 @@
 // tables and RTT matrix, and an Optimizer for configuration scoring.  After
 // `build` returns, every byte of it is immutable: queries run exclusively
 // through const methods documented as concurrently callable
-// (Predictor::predict/predict_subset, Optimizer::evaluate_uncached), so any
+// (Predictor::predict/predict_subset, Optimizer::evaluate), so any
 // number of reader threads share one snapshot with no locking at all.  The
 // serve invariant — "a query never observes a partially-loaded snapshot" —
 // holds because a snapshot becomes reachable (via Service::publish) only
@@ -83,8 +83,8 @@ class Snapshot {
   [[nodiscard]] const core::Predictor& predictor() const {
     return *predictor_;
   }
-  /// \brief The configuration scorer (queries must use the concurrent-safe
-  ///        `evaluate_uncached`; see core/optimizer.h).
+  /// \brief The configuration scorer (`evaluate` is pure and safe for
+  ///        concurrent queries; see core/optimizer.h).
   [[nodiscard]] const core::Optimizer& optimizer() const {
     return *optimizer_;
   }

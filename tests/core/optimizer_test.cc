@@ -98,6 +98,18 @@ TEST(Optimizer, EvaluateMatchesPredictorOnOptimizerOrder) {
   EXPECT_LT(out.best_per_size[6].predicted_mean_rtt, 1e6);
 }
 
+TEST(Optimizer, TimeBudgetIsCheckedBeforeTheSizeFilter) {
+  // Masks that are multiples of 4,096 have popcount <= 3: a budget check
+  // keyed on the mask value and placed after the min_sites = 4 filter
+  // would never run, and the search would always finish.
+  OptimizerOptions opts = quick_options();
+  opts.min_sites = 4;
+  opts.time_budget_s = 0;
+  const SearchOutcome out = default_env().pipeline->optimize(opts);
+  EXPECT_FALSE(out.exhausted);
+  EXPECT_LT(out.configurations_evaluated, (1u << 15) - 1);
+}
+
 TEST(Optimizer, GreedyUnicastPicksLowestMeanSites) {
   const RttMatrix& rtts = default_env().pipeline->predictor().rtts();
   const auto cfg = Optimizer::greedy_unicast(rtts, 4);

@@ -284,6 +284,47 @@ TEST(DocsTest, AgilityTelemetryCountersAreDocumented) {
   EXPECT_GE(names, 6u) << "kAgilityMetrics parse came up short";
 }
 
+TEST(DocsTest, OptimizerTelemetryCountersAreDocumented) {
+  // Every `optimizer.*` telemetry name registered anywhere under src/ must
+  // appear (backticked) in DESIGN.md §5, so a new search counter cannot
+  // ship undocumented.  Names are collected from the string literals that
+  // register them.
+  const std::string design = read_file(source_dir() / "DESIGN.md");
+  const std::size_t begin = design.find("## 5. Observability");
+  const std::size_t end = design.find("## 6.", begin);
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  const std::string section = design.substr(begin, end - begin);
+
+  std::vector<std::string> names;
+  for (const auto& entry :
+       fs::recursive_directory_iterator(source_dir() / "src")) {
+    const std::string ext = entry.path().extension().string();
+    if (ext != ".h" && ext != ".cc") continue;
+    const std::string text = read_file(entry.path());
+    const std::string prefix = "\"optimizer.";
+    for (std::size_t at = text.find(prefix); at != std::string::npos;
+         at = text.find(prefix, at + 1)) {
+      const std::size_t close = text.find('"', at + 1);
+      const std::string name = text.substr(at + 1, close - at - 1);
+      if (name.ends_with(".h") || name.ends_with(".cc")) continue;
+      if (std::find(names.begin(), names.end(), name) == names.end()) {
+        names.push_back(name);
+      }
+    }
+  }
+  for (const std::string& name : names) {
+    EXPECT_NE(section.find('`' + name + '`'), std::string::npos)
+        << "DESIGN.md §5 must document the " << name << " counter";
+  }
+  for (const char* known :
+       {"optimizer.searches", "optimizer.configs_evaluated",
+        "optimizer.subset_tables", "optimizer.subset_patterns"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), known), names.end())
+        << "counter scan missed " << known;
+  }
+}
+
 TEST(DocsTest, ScalingMemoryModelCoversEveryByteGauge) {
   // The Internet-scale memory model (docs/SCALING.md) must document every
   // per-subsystem byte gauge by name.  The gauge list is parsed out of the
