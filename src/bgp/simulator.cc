@@ -61,21 +61,6 @@ struct SimMetrics {
   }
 };
 
-/// Pre-resolved forwarding-cache metrics (one registry lookup per process).
-struct ResolveMetrics {
-  telemetry::Counter* cache_hit;
-  telemetry::Counter* cache_miss;
-
-  static const ResolveMetrics& get() {
-    static const ResolveMetrics m = [] {
-      auto& reg = telemetry::Registry::global();
-      return ResolveMetrics{&reg.counter("bgp.resolve.cache_hit"),
-                            &reg.counter("bgp.resolve.cache_miss")};
-    }();
-    return m;
-  }
-};
-
 /// Pre-resolved overlay metrics (one registry lookup per process).
 struct OverlayMetrics {
   telemetry::Counter* forks;
@@ -127,7 +112,6 @@ struct Simulator::Advertised {
 /// scratch can hop between simulators (even differently sized worlds).
 struct SimScratch::Impl {
   std::vector<RoutingState::AsState> as_state;          ///< per-AS RIBs
-  std::vector<RoutingState::CachedWalk> walks;          ///< forwarding cache
   std::vector<Simulator::Event> events;                 ///< queue container
   std::vector<double> session_clock;
   std::vector<std::vector<Simulator::Advertised>> advertised;
@@ -150,7 +134,6 @@ struct SimScratch::Impl {
   /// the bulk of a recycled RIB).
   [[nodiscard]] std::int64_t retained_bytes() const {
     std::size_t b = as_state.capacity() * sizeof(RoutingState::AsState) +
-                    walks.capacity() * sizeof(RoutingState::CachedWalk) +
                     events.capacity() * sizeof(Simulator::Event) +
                     session_clock.capacity() * sizeof(double) +
                     advertised.capacity() * sizeof(advertised[0]);
@@ -160,10 +143,6 @@ struct SimScratch::Impl {
       for (const RibEntry& e : s.rib) {
         b += e.as_path.capacity() * sizeof(AsId);
       }
-    }
-    for (const RoutingState::CachedWalk& w : walks) {
-      b += w.as_path.capacity() * sizeof(AsId) +
-           w.hop_ms.capacity() * sizeof(double);
     }
     for (const std::vector<Simulator::Advertised>& row : advertised) {
       b += row.capacity() * sizeof(Simulator::Advertised);
@@ -218,7 +197,6 @@ SimScratch& SimScratch::operator=(SimScratch&&) noexcept = default;
 
 void SimScratch::recycle(RoutingState&& state) {
   impl_->as_state = std::move(state.as_);
-  impl_->walks = std::move(state.walk_cache_);
   if (state.cont_ != nullptr) {
     // A kept continuation owns its own ledger/clock storage; reclaim it too.
     impl_->advertised = std::move(state.cont_->advertised);
@@ -226,11 +204,8 @@ void SimScratch::recycle(RoutingState&& state) {
     state.cont_.reset();
   }
   state.as_.clear();
-  state.walk_cache_.clear();
   state.copied_.clear();
   state.base_ = nullptr;
-  state.cache_hits_ = 0;
-  state.cache_misses_ = 0;
   // Retained-bytes accounting: the recycle point is where the arena's
   // footprint settles, so the walk (same order of work as the per-run
   // buffer reset) only happens when telemetry is on.
@@ -341,8 +316,6 @@ RoutingState Simulator::run_impl(std::span<const Injection> injections,
   state.sim_ = this;
   state.run_nonce_ = run_nonce;
   state.events_ = 0;  // counts THIS phase's events (delta-only for overlays)
-  state.cache_hits_ = 0;  // per-state tallies restart with the new tables
-  state.cache_misses_ = 0;
   // Overlay deltas are scheduled relative to where the prior phase left off.
   const double t_base = resuming ? state.last_event_s_
                         : fork   ? bs->horizon_s
@@ -377,21 +350,6 @@ RoutingState Simulator::run_impl(std::span<const Injection> injections,
         as_state.best.best = -1;
         as_state.best.equal_best.clear();
       }
-    }
-  }
-  if (options_.resolution_cache) {
-    // A resumed state resets its own cache in place (the converged tables
-    // are about to change); other modes borrow the scratch's.
-    if (!resuming && sc != nullptr) {
-      state.walk_cache_ = std::move(sc->walks);
-      sc->walks.clear();
-    }
-    state.walk_cache_.resize(n);
-    for (RoutingState::CachedWalk& walk : state.walk_cache_) {
-      walk.state = RoutingState::CachedWalk::State::kUnknown;
-      walk.crossed = false;
-      walk.as_path.clear();
-      walk.hop_ms.clear();
     }
   }
   if (telem && reused) SimMetrics::get().scratch_reuse->add(1);
@@ -887,15 +845,6 @@ RoutingState Simulator::resume_overlay(RoutingState&& prior,
   return run_impl(delta, run_nonce, scratch, &overlay);
 }
 
-std::size_t RoutingState::resolve_cache_bytes() const {
-  std::size_t b = walk_cache_.capacity() * sizeof(CachedWalk);
-  for (const CachedWalk& w : walk_cache_) {
-    b += w.as_path.capacity() * sizeof(AsId) +
-         w.hop_ms.capacity() * sizeof(double);
-  }
-  return b;
-}
-
 std::size_t RoutingState::overlay_copied_bytes() const {
   if (base_ == nullptr) return 0;
   std::size_t b = copied_.capacity() * sizeof(std::uint8_t) +
@@ -938,37 +887,6 @@ ResolvedPath RoutingState::resolve(AsId from, const geo::Coordinates& from_loc,
     // out-of-bounds index — mirrored by CompactState::resolve.
     return ResolvedPath{};
   }
-  if (walk_cache_.empty() || from.value() >= walk_cache_.size()) {
-    // Cache disabled for this run — or the client AS id lies beyond the
-    // dense cache range (sparse id spaces at Internet scale must not index
-    // out of bounds): plain walk, no memoization.
-    return resolve_walk(from, from_loc, flow_hash, nullptr);
-  }
-  CachedWalk& walk = walk_cache_[from.value()];
-  const bool telem = telemetry::enabled();
-  switch (walk.state) {
-    case CachedWalk::State::kCached:
-      ++cache_hits_;
-      if (telem) ResolveMetrics::get().cache_hit->add(1);
-      return walk_replay(walk, from_loc);
-    case CachedWalk::State::kUncached:
-      // Flow- or location-dependent walk: recompute per call, keyed by the
-      // caller's flow hash exactly as the uncached path would.
-      ++cache_misses_;
-      if (telem) ResolveMetrics::get().cache_miss->add(1);
-      return resolve_walk(from, from_loc, flow_hash, nullptr);
-    case CachedWalk::State::kUnknown:
-      break;
-  }
-  ++cache_misses_;
-  if (telem) ResolveMetrics::get().cache_miss->add(1);
-  return resolve_walk(from, from_loc, flow_hash, &walk);
-}
-
-ResolvedPath RoutingState::resolve_walk(AsId from,
-                                        const geo::Coordinates& from_loc,
-                                        std::uint64_t flow_hash,
-                                        CachedWalk* record) const {
   // The array-of-structs view over this state's per-AS RIBs, feeding the
   // one shared walk implementation (bgp/walk.h) both layouts instantiate.
   struct View {
@@ -1011,7 +929,7 @@ ResolvedPath RoutingState::resolve_walk(AsId from,
     }
   };
   return walk_resolve(View{this, sim_}, run_nonce_, from, from_loc, flow_hash,
-                      record);
+                      nullptr);
 }
 
 }  // namespace anyopt::bgp

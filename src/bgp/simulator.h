@@ -47,16 +47,6 @@ struct SimulatorOptions {
   /// Global ablation switch for the arrival-order tie-break; ANDed with the
   /// per-AS `prefers_oldest` flag.
   bool arrival_order_tiebreak = true;
-  /// Enables the per-RoutingState forwarding cache: `resolve()` memoizes
-  /// each client AS's data-plane walk so targets sharing a client AS replay
-  /// it instead of re-walking (hops whose choice depends on the flow hash —
-  /// multipath splits, host-AS hot-potato from the client's own location —
-  /// stay uncached).  Results are bit-identical on or off; `explain()`
-  /// always bypasses the cache.  Note the cache makes `resolve()` mutate
-  /// internal memoization state: a single RoutingState must not be resolved
-  /// from multiple threads concurrently (census workers each own their
-  /// state, so the campaign engine is unaffected).
-  bool resolution_cache = true;
   /// Safety valve: abort if a run exceeds this many events (0 = auto).
   std::size_t max_events = 0;
   /// Base seed; combined with the per-run nonce.
@@ -197,12 +187,11 @@ class RoutingState {
   /// Walks the data plane from a client at `from` / `from_loc` to its
   /// catchment site.  `flow_hash` seeds per-flow multipath splitting.
   ///
-  /// When the owning simulator's `resolution_cache` option is on, the walk
-  /// from each client AS is memoized on first use and replayed for later
-  /// targets in the same AS (the per-hop decisions are pure functions of
-  /// the converged RIBs; only the first-hop latency and the flow-dependent
-  /// pieces are recomputed per call).  The memoization mutates internal
-  /// state, so a cached RoutingState must not be resolved concurrently.
+  /// This is the plain reference walk (bgp/walk.h over the engine layout,
+  /// nothing memoized): censuses resolve through the frozen `CompactState`
+  /// instead, and `compact_test` holds the two to the same bits.  A
+  /// RoutingState is never mutated by a read, so any number of threads may
+  /// call `resolve` and `explain` on one state at once.
   [[nodiscard]] ResolvedPath resolve(AsId from, const geo::Coordinates& from_loc,
                                      std::uint64_t flow_hash) const;
 
@@ -219,17 +208,6 @@ class RoutingState {
   /// Simulated time of the last processed event (seconds).
   [[nodiscard]] double converged_at_s() const { return last_event_s_; }
 
-  /// Per-state resolve-cache tallies: replayed / walked resolutions of THIS
-  /// state (the global `bgp.resolve.cache_*` counters aggregate the same
-  /// numbers process-wide).  Provenance records attribute cache behaviour
-  /// to individual experiments through these.
-  [[nodiscard]] std::uint64_t cache_hits() const { return cache_hits_; }
-  [[nodiscard]] std::uint64_t cache_misses() const { return cache_misses_; }
-
-  /// Approximate heap bytes retained by the forwarding cache (capacities,
-  /// not live sizes — this is the memory the arena actually holds).
-  [[nodiscard]] std::size_t resolve_cache_bytes() const;
-
   /// Approximate heap bytes of the copy-on-write pages this overlay has
   /// privatized (0 for clean runs: their pages are plain state, accounted
   /// by the scratch that recycles them).
@@ -245,18 +223,6 @@ class RoutingState {
     std::vector<RibEntry> rib;  ///< slots: AS neighbors, then attachments
     BestSet best;
   };
-  /// The memoized data-plane walk record (hoisted to namespace scope so the
-  /// structure-of-arrays CompactState shares the exact machinery; see
-  /// bgp/walk.h for the cacheability rules).
-  using CachedWalk = ::anyopt::bgp::CachedWalk;
-  /// The uncached walk (instantiates bgp/walk.h's shared `walk_resolve`
-  /// over this layout).  If `record` is non-null the walk is captured into
-  /// it (or marked kUncached when a flow/location-dependent hop is met).
-  [[nodiscard]] ResolvedPath resolve_walk(AsId from,
-                                          const geo::Coordinates& from_loc,
-                                          std::uint64_t flow_hash,
-                                          CachedWalk* record) const;
-
   /// The routing state of `as`: this state's own page when it was written
   /// during the run (or the run was not an overlay), else the shared base
   /// page.  Every read goes through here, so untouched ASes never copy.
@@ -274,11 +240,6 @@ class RoutingState {
   /// (`keep_continuation`); consumed by `Simulator::resume_overlay`.
   struct Cont;
   std::unique_ptr<Cont> cont_;
-  /// Forwarding cache, indexed by client AS; empty = cache disabled.
-  /// Mutable: memoization from const `resolve()` (single-threaded use).
-  mutable std::vector<CachedWalk> walk_cache_;
-  mutable std::uint64_t cache_hits_ = 0;
-  mutable std::uint64_t cache_misses_ = 0;
   std::uint64_t run_nonce_ = 0;
   std::size_t events_ = 0;
   double last_event_s_ = 0;

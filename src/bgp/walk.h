@@ -3,13 +3,21 @@
 //
 // `walk_resolve` is the one implementation of "follow the converged best
 // routes from a client AS to its catchment site".  It is a template over a
-// *RIB view* so that the array-of-structs `RoutingState` (the layout the
-// propagation engine mutates) and the structure-of-arrays `CompactState`
-// (the frozen layout the measurement plane resolves against at Internet
-// scale) execute the exact same instruction sequence — every floating-point
-// operation in the same order — which is what makes the two layouts
-// bit-identical by construction rather than by test alone (the
-// layout-invariance suite then enforces it end to end).
+// *RIB view*, and both views stay on purpose:
+//
+//   * the structure-of-arrays `CompactState` is the census path — every
+//     census freezes its converged state and resolves here, memoizing one
+//     walk per client AS (`CachedWalk` below);
+//   * the engine's array-of-structs `RoutingState` keeps the plain,
+//     uncached reference walk.  `RoutingState::explain()` needs it: the
+//     explanation compares full `RibEntry`s (local_pref, arrival order),
+//     which the frozen layout deliberately drops, and finishes with this
+//     walk.  compact_test compares the census layout against it, and the
+//     engine-level unit tests resolve through it without a freeze.
+//
+// Both views execute the exact same instruction sequence — every
+// floating-point operation in the same order — so the two layouts are
+// bit-identical by construction rather than by test alone.
 //
 // A view `v` must provide, for every AS `a` reachable from the walk:
 //   const topo::Internet&            v.net()
@@ -46,7 +54,8 @@ struct ResolvedPath {
   double one_way_ms = 0;             ///< client location -> site
 };
 
-/// One memoized data-plane walk, keyed by the client AS it starts from.
+/// One memoized data-plane walk, keyed by the client AS it starts from
+/// (`CompactState`'s walk cache; the engine layout never memoizes).
 /// A walk is cacheable only when no hop's choice depended on the flow
 /// hash (no live multipath split) or on the caller's location (the
 /// host-AS hot-potato cost when the client AS itself hosts attachments);

@@ -264,102 +264,84 @@ Census Orchestrator::census_from_state(bgp::RoutingState& state,
   const std::size_t sim_events = state.events_processed();
   const std::size_t overlay_copied = state.overlay_copied_bytes();
 
+  // Freeze the converged state into the SoA resolve layout.  The engine
+  // layout is dead from here on: recycle its arena before the resolve pass,
+  // so at Internet scale the two layouts never coexist.  Over the memory
+  // budget the arena must not be PARKED either — skip the recycle and let
+  // the caller's state free on scope exit instead — and the frozen walk
+  // cache degrades to uncached (results are bit-identical at any cache
+  // capacity).  The budget is read once: each read is a procfs read.
+  bgp::CompactState rib =
+      bgp::CompactState::freeze(world_.simulator(), state);
+  if (resmon::over_mem_budget()) {
+    rib.set_cache_capacity(0);
+  } else if (scratch != nullptr) {
+    scratch->recycle(std::move(state));
+  }
+
   // Pass 1 — resolve every target's forwarding path into the sharded
   // aggregation plane, visiting targets grouped by client AS so each AS's
   // memoized walk is built once and replayed while hot.  Resolution is a
   // pure function of the converged state, so visiting order cannot change
   // any result; only reachable targets write (unwritten = unreachable).
   CensusShards resolved(targets.size());
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::size_t rib_bytes = 0;
-  std::size_t cache_bytes = 0;
-  if (options_.compact_resolve) {
-    bgp::CompactState rib =
-        bgp::CompactState::freeze(world_.simulator(), state);
-    // The engine layout is dead from here on: recycle its arena before the
-    // resolve pass, so at Internet scale the two layouts never coexist.
-    // Over the memory budget the arena must not be PARKED either — skip
-    // the recycle and let the caller's state free on scope exit instead —
-    // and the frozen walk cache degrades to uncached (results are
-    // bit-identical at any cache capacity).
-    if (scratch != nullptr && !resmon::over_mem_budget()) {
-      scratch->recycle(std::move(state));
-    } else if (resmon::over_mem_budget()) {
-      rib.set_cache_capacity(0);
+  ThreadPool* pool = options_.resolve_pool;
+  if (pool != nullptr && pool->size() > 1 && !resolve_order_.empty()) {
+    // Parallel resolve (the ROADMAP item-2 headroom): workers take
+    // contiguous chunks of the AS-grouped order, each chunk's end pushed
+    // forward so a client AS's run never splits.  That gives every AS
+    // exactly one resolving worker — the frozen walk cache's per-AS slots
+    // have a single writer, and the serial pass's hit/miss pattern (one
+    // miss then hot replays per AS) is reproduced exactly.  Workers write
+    // private CensusShards planes (chunk targets are scattered in id
+    // space, so planes interleave within shards entry-disjointly) and the
+    // planes merge order-invariantly — censuses are bit-identical to the
+    // serial pass at any pool size.
+    const std::size_t n = resolve_order_.size();
+    const std::size_t workers = pool->size();
+    std::vector<std::pair<std::size_t, std::size_t>> ranges;
+    std::size_t begin = 0;
+    for (std::size_t w = 0; w < workers && begin < n; ++w) {
+      std::size_t end =
+          w + 1 == workers ? n : begin + (n - begin) / (workers - w);
+      if (end <= begin) end = begin + 1;
+      while (end < n && targets.target(TargetId{resolve_order_[end]}).as ==
+                            targets.target(TargetId{resolve_order_[end - 1]})
+                                .as) {
+        ++end;
+      }
+      ranges.emplace_back(begin, std::min(end, n));
+      begin = end;
     }
-    ThreadPool* pool = options_.resolve_pool;
-    if (pool != nullptr && pool->size() > 1 && !resolve_order_.empty()) {
-      // Parallel resolve (the ROADMAP item-2 headroom): workers take
-      // contiguous chunks of the AS-grouped order, each chunk's end pushed
-      // forward so a client AS's run never splits.  That gives every AS
-      // exactly one resolving worker — the frozen walk cache's per-AS slots
-      // have a single writer, and the serial pass's hit/miss pattern (one
-      // miss then hot replays per AS) is reproduced exactly.  Workers write
-      // private CensusShards planes (chunk targets are scattered in id
-      // space, so planes interleave within shards entry-disjointly) and the
-      // planes merge order-invariantly — censuses are bit-identical to the
-      // serial pass at any pool size.
-      const std::size_t n = resolve_order_.size();
-      const std::size_t workers = pool->size();
-      std::vector<std::pair<std::size_t, std::size_t>> ranges;
-      std::size_t begin = 0;
-      for (std::size_t w = 0; w < workers && begin < n; ++w) {
-        std::size_t end =
-            w + 1 == workers ? n : begin + (n - begin) / (workers - w);
-        if (end <= begin) end = begin + 1;
-        while (end < n && targets.target(TargetId{resolve_order_[end]}).as ==
-                              targets.target(TargetId{resolve_order_[end - 1]})
-                                  .as) {
-          ++end;
-        }
-        ranges.emplace_back(begin, std::min(end, n));
-        begin = end;
-      }
-      std::vector<CensusShards> planes;
-      planes.reserve(ranges.size());
-      for (std::size_t r = 0; r < ranges.size(); ++r) {
-        planes.emplace_back(targets.size());
-      }
-      pool->parallel_for(ranges.size(), [&](std::size_t r) {
-        for (std::size_t i = ranges[r].first; i < ranges[r].second; ++i) {
-          const std::uint32_t t = resolve_order_[i];
-          const anycast::Target& tgt = targets.target(TargetId{t});
-          const bgp::ResolvedPath path = rib.resolve(tgt.as, tgt.where, t);
-          if (path.reachable) {
-            planes[r].set(t, path.site, path.attachment, path.one_way_ms);
-          }
-        }
-      });
-      for (CensusShards& plane : planes) resolved.merge(std::move(plane));
-    } else {
-      for (const std::uint32_t t : resolve_order_) {
+    std::vector<CensusShards> planes;
+    planes.reserve(ranges.size());
+    for (std::size_t r = 0; r < ranges.size(); ++r) {
+      planes.emplace_back(targets.size());
+    }
+    pool->parallel_for(ranges.size(), [&](std::size_t r) {
+      for (std::size_t i = ranges[r].first; i < ranges[r].second; ++i) {
+        const std::uint32_t t = resolve_order_[i];
         const anycast::Target& tgt = targets.target(TargetId{t});
         const bgp::ResolvedPath path = rib.resolve(tgt.as, tgt.where, t);
         if (path.reachable) {
-          resolved.set(t, path.site, path.attachment, path.one_way_ms);
+          planes[r].set(t, path.site, path.attachment, path.one_way_ms);
         }
       }
-    }
-    cache_hits = rib.cache_hits();
-    cache_misses = rib.cache_misses();
-    rib_bytes = rib.retained_bytes();
-    cache_bytes = rib.resolve_cache_bytes();
+    });
+    for (CensusShards& plane : planes) resolved.merge(std::move(plane));
   } else {
     for (const std::uint32_t t : resolve_order_) {
       const anycast::Target& tgt = targets.target(TargetId{t});
-      const bgp::ResolvedPath path = state.resolve(tgt.as, tgt.where, t);
+      const bgp::ResolvedPath path = rib.resolve(tgt.as, tgt.where, t);
       if (path.reachable) {
         resolved.set(t, path.site, path.attachment, path.one_way_ms);
       }
     }
-    cache_hits = state.cache_hits();
-    cache_misses = state.cache_misses();
-    cache_bytes = state.resolve_cache_bytes();
-    if (scratch != nullptr && !resmon::over_mem_budget()) {
-      scratch->recycle(std::move(state));
-    }
   }
+  const std::uint64_t cache_hits = rib.cache_hits();
+  const std::uint64_t cache_misses = rib.cache_misses();
+  const std::size_t rib_bytes = rib.retained_bytes();
+  const std::size_t cache_bytes = rib.resolve_cache_bytes();
   const std::size_t shard_bytes = resolved.retained_bytes();
 
   // Pass 2 — probe in target order.  The prober draws its noise stream in
@@ -423,9 +405,7 @@ Census Orchestrator::census_from_state(bgp::RoutingState& state,
         telemetry::Registry::global().gauge("bytes.census_shards");
     cache_bytes_gauge.set(static_cast<std::int64_t>(cache_bytes));
     shard_bytes_gauge.set(static_cast<std::int64_t>(shard_bytes));
-    if (rib_bytes != 0) {
-      rib_bytes_gauge.set(static_cast<std::int64_t>(rib_bytes));
-    }
+    rib_bytes_gauge.set(static_cast<std::int64_t>(rib_bytes));
     if (overlay_copied != 0) {
       overlay_bytes_gauge.set(static_cast<std::int64_t>(overlay_copied));
     }

@@ -46,25 +46,15 @@ struct OrchestratorOptions {
   /// entirely and leaves every measurement bit-identical to a build
   /// without it.
   const fault::FaultInjector* faults = nullptr;
-  /// Resolve censuses against the frozen structure-of-arrays RIB
-  /// (`bgp::CompactState`) instead of the engine's array-of-structs state.
-  /// Freezing lets the simulation arena recycle BEFORE the resolve pass
-  /// runs — at Internet scale the engine layout and the resolve layout
-  /// never coexist — and the SoA walk is a pure array scan.  Censuses are
-  /// bit-identical either way (the walk implementation is literally shared;
-  /// the layout-invariance suite enforces it end to end); disable to
-  /// resolve directly against the engine layout.
-  bool compact_resolve = true;
   /// Worker pool for the census resolve pass (not owned; nullptr — the
   /// default — resolves serially).  Workers take contiguous chunks of the
   /// AS-grouped resolve order, never splitting a client-AS run, resolve
   /// into private `CensusShards` planes and merge them order-invariantly —
   /// censuses AND the frozen RIB's cache hit/miss counts are bit-identical
   /// to the serial pass at any pool size (census_shards_test +
-  /// layout_invariance_test enforce it).  Only the `compact_resolve` path
-  /// parallelizes (the engine-layout cache is single-threaded by design).
-  /// The pool must NOT be one the calling task itself runs on (nested
-  /// parallel_for can deadlock), so campaign workers leave this null.
+  /// layout_invariance_test enforce it).  The pool must NOT be one the
+  /// calling task itself runs on (nested parallel_for can deadlock), so
+  /// campaign workers leave this null.
   ThreadPool* resolve_pool = nullptr;
 };
 
@@ -303,13 +293,12 @@ class Orchestrator {
  private:
   /// An all-unreachable census in the world's target shape.
   [[nodiscard]] Census empty_census() const;
-  /// Passes 1+2 over an already converged state: resolve every target's
-  /// forwarding path (against the frozen SoA RIB when `compact_resolve` is
-  /// on), then probe, aggregating through release-as-drained census shards.
-  /// Shared by the classic and overlay paths.  When `scratch` is non-null
-  /// the state is CONSUMED: its arena recycles as soon as the engine layout
-  /// is no longer needed (immediately after the freeze on the compact path)
-  /// and the caller must not touch or recycle it again.  With a null
+  /// Passes 1+2 over an already converged state: freeze it into a
+  /// `bgp::CompactState`, resolve every target's forwarding path against
+  /// that frozen SoA RIB, then probe, aggregating through release-as-drained
+  /// census shards.  Shared by the classic and overlay paths.  When
+  /// `scratch` is non-null the state is CONSUMED: its arena recycles right
+  /// after the freeze and the caller must not touch or recycle it again.  With a null
   /// `scratch` the state is only read and stays the caller's to keep — the
   /// overlay-pair leg-0 path relies on this to resume the state afterwards.
   /// When `trace` is non-null its simulation/probe fields are filled for the

@@ -241,10 +241,7 @@ std::string execute_mitigate(const Snapshot& snapshot,
   // queries stay lock-free (nothing on the snapshot mutates) at the cost
   // of simulating per mitigate call — this op is an operator what-if, not
   // a hot-path prediction.
-  measure::OrchestratorOptions orchestrator_options;
-  orchestrator_options.compact_resolve = snapshot.options().compact_resolve;
-  const measure::Orchestrator orchestrator(snapshot.world(),
-                                           orchestrator_options);
+  const measure::Orchestrator orchestrator(snapshot.world());
   const agility::AgilityEngine engine(orchestrator, std::move(demand),
                                       std::move(options));
   const agility::MitigationResult result = engine.mitigate(deployed);

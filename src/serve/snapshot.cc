@@ -43,9 +43,7 @@ Result<std::shared_ptr<Snapshot>> Snapshot::build(
   // The orchestrator, pipeline and store are build-time machinery only:
   // they die with this scope, and the snapshot keeps just the immutable
   // products (predictor tables, RTT matrix) plus the world they reference.
-  measure::OrchestratorOptions orchestrator_options;
-  orchestrator_options.compact_resolve = options.compact_resolve;
-  measure::Orchestrator orchestrator(*snapshot->world_, orchestrator_options);
+  measure::Orchestrator orchestrator(*snapshot->world_);
   std::unique_ptr<measure::ResultStore> store;
   if (!options.store_path.empty()) {
     const std::uint64_t fingerprint =

@@ -41,11 +41,6 @@ struct SnapshotOptions {
   /// ASes (the daemon's `--ases=N` knob; exercised up to 75,000) instead
   /// of the paper/test world.  Overrides `test_scale`.
   std::size_t ases = 0;
-  /// Resolve the build's censuses against the frozen structure-of-arrays
-  /// RIB (see `measure::OrchestratorOptions::compact_resolve`).  Tables and
-  /// every query answer are bit-identical either way; the layout-invariance
-  /// suite flips this to prove it end to end.
-  bool compact_resolve = true;
   /// Worker threads for the build's discovery campaigns (1 = serial,
   /// 0 = hardware concurrency); tables are bit-identical at any setting.
   std::size_t threads = 1;

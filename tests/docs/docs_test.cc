@@ -112,7 +112,14 @@ TEST(DocsTest, ChangesHasOneOrderedEntryPerPr) {
   std::size_t entries = 0;
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
-    // Every non-empty line is one PR's record: "PR <number>: <summary>".
+    // Notes on faults seen ("FOUND: ...") or since fixed ("MENDED: ...")
+    // follow the PR entry that recorded them and carry a description.
+    if (line.rfind("FOUND: ", 0) == 0 || line.rfind("MENDED: ", 0) == 0) {
+      EXPECT_GT(previous, 0) << "note before any PR entry: " << line;
+      EXPECT_GT(line.size(), 20u) << "note without a description: " << line;
+      continue;
+    }
+    // Every other non-empty line is one PR's record: "PR <number>: <summary>".
     ASSERT_EQ(line.rfind("PR ", 0), 0u) << "unexpected line: " << line;
     std::size_t digits = 3;
     while (digits < line.size() &&
