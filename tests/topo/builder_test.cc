@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "anycast/world.h"
+#include "netbase/rng.h"
 #include "topo/serialize.h"
 
 namespace anyopt::topo {
@@ -127,6 +129,44 @@ TEST(Builder, StubsHaveProviders) {
     }
     EXPECT_TRUE(has_provider) << "stub " << net.graph.node(s).asn;
   }
+}
+
+/// The Internet parameters `anycast::World` builds from `params` (the same
+/// seed derivation as its constructor), so the goldens below pin the exact
+/// topologies the test, paper and Internet-scale worlds run on.
+InternetParams world_internet(anycast::WorldParams params) {
+  Rng master{params.seed};
+  params.internet.seed = master.fork("internet")();
+  return params.internet;
+}
+
+// Golden topologies: `build_internet` must keep producing these exact
+// graphs (every link, latency and policy flag feeds the fingerprint), so a
+// faster builder cannot silently become a different one.
+constexpr std::uint64_t kTestScaleFingerprint = 638415025336249361ULL;
+constexpr std::uint64_t kPaperScaleFingerprint = 17322884104976328825ULL;
+constexpr std::uint64_t kAt35kFingerprint = 6363595272379702905ULL;
+
+TEST(Builder, GoldenFingerprintTestScale) {
+  const anycast::WorldParams params = anycast::WorldParams::test_scale(23);
+  EXPECT_EQ(topology_fingerprint(build_internet(world_internet(params))),
+            kTestScaleFingerprint);
+  // The helper's seed derivation is the world's own.
+  EXPECT_EQ(topology_fingerprint(anycast::World::create(params)->internet()),
+            kTestScaleFingerprint);
+}
+
+TEST(Builder, GoldenFingerprintPaperScale) {
+  EXPECT_EQ(topology_fingerprint(build_internet(
+                world_internet(anycast::WorldParams::paper_scale(1897)))),
+            kPaperScaleFingerprint);
+}
+
+TEST(Builder, GoldenFingerprintAt35kAses) {
+  const Internet net =
+      build_internet(world_internet(anycast::WorldParams::at_scale(35000, 1897)));
+  EXPECT_EQ(net.graph.as_count(), 35000u);
+  EXPECT_EQ(topology_fingerprint(net), kAt35kFingerprint);
 }
 
 }  // namespace
