@@ -97,6 +97,17 @@ void BM_BgpPropagation(benchmark::State& state) {
 }
 BENCHMARK(BM_BgpPropagation)->Arg(1)->Arg(4)->Arg(15);
 
+void BM_BuildInternet(benchmark::State& state) {
+  // Paper-scale topology generation (the first stage of every World).
+  const topo::InternetParams params =
+      anycast::WorldParams::paper_scale().internet;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(topo::build_internet(params));
+  }
+  state.counters["ases"] = static_cast<double>(topo::kPaperScaleAses);
+}
+BENCHMARK(BM_BuildInternet)->Unit(benchmark::kMillisecond);
+
 void BM_ForwardingResolve(benchmark::State& state) {
   // The census resolve path: a frozen CompactState and its walk cache.
   const auto cfg = anycast::AnycastConfig::all_sites(world().deployment());

@@ -4,8 +4,33 @@
 #include <cmath>
 
 #include "netbase/rng.h"
+#include "netbase/telemetry.h"
 
 namespace anyopt::anycast {
+
+namespace {
+
+/// Pre-resolved world-build stage histograms (one registry lookup per
+/// process).
+struct WorldMetrics {
+  telemetry::Histogram* topology_ms;
+  telemetry::Histogram* deployment_ms;
+  telemetry::Histogram* targets_ms;
+  telemetry::Histogram* simulator_ms;
+
+  static const WorldMetrics& get() {
+    static const WorldMetrics m = [] {
+      auto& reg = telemetry::Registry::global();
+      return WorldMetrics{&reg.histogram("world.topology_ms"),
+                          &reg.histogram("world.deployment_ms"),
+                          &reg.histogram("world.targets_ms"),
+                          &reg.histogram("world.simulator_ms")};
+    }();
+    return m;
+  }
+};
+
+}  // namespace
 
 WorldParams WorldParams::paper_scale(std::uint64_t seed) {
   WorldParams p;
@@ -50,16 +75,36 @@ World::World(WorldParams params) : params_(std::move(params)) {
   params_.targets.seed = master.fork("targets")();
   params_.sim.seed = master.fork("simulator")();
 
-  net_ = topo::build_internet(params_.internet);
-  std::vector<SiteSpec> sites = params_.sites;
-  if (params_.peer_scale != 1.0) {
-    for (SiteSpec& s : sites) {
-      s.peer_count = static_cast<int>(
-          std::lround(params_.peer_scale * static_cast<double>(s.peer_count)));
-    }
+  // One span per build stage, so `--metrics` shows where setup time goes.
+  const bool telem = telemetry::enabled();
+  {
+    const telemetry::ScopedTimer span(
+        "world.topology", "world",
+        telem ? WorldMetrics::get().topology_ms : nullptr);
+    net_ = topo::build_internet(params_.internet);
   }
-  deployment_ = Deployment::realize(net_, sites, master.fork("deployment"));
-  targets_ = TargetPopulation::generate(net_, params_.targets);
+  {
+    const telemetry::ScopedTimer span(
+        "world.deployment", "world",
+        telem ? WorldMetrics::get().deployment_ms : nullptr);
+    std::vector<SiteSpec> sites = params_.sites;
+    if (params_.peer_scale != 1.0) {
+      for (SiteSpec& s : sites) {
+        s.peer_count = static_cast<int>(std::lround(
+            params_.peer_scale * static_cast<double>(s.peer_count)));
+      }
+    }
+    deployment_ = Deployment::realize(net_, sites, master.fork("deployment"));
+  }
+  {
+    const telemetry::ScopedTimer span(
+        "world.targets", "world",
+        telem ? WorldMetrics::get().targets_ms : nullptr);
+    targets_ = TargetPopulation::generate(net_, params_.targets);
+  }
+  const telemetry::ScopedTimer span(
+      "world.simulator", "world",
+      telem ? WorldMetrics::get().simulator_ms : nullptr);
   sim_ = std::make_unique<bgp::Simulator>(net_, deployment_.attachments(),
                                           params_.sim);
 }

@@ -90,6 +90,9 @@ struct CompactState::View {
   [[nodiscard]] const OriginAttachment& attachment(AttachmentIndex idx) const {
     return cs->sim_->attachments()[idx];
   }
+  [[nodiscard]] std::size_t attachment_pop(AttachmentIndex idx) const {
+    return cs->sim_->attachment_pop(idx);
+  }
   [[nodiscard]] geo::Coordinates crossing_where(AsId as, std::size_t slot,
                                                 AsId /*neighbor*/) const {
     // Slot order mirrors the engine's sorted, deduplicated adjacency, so
@@ -99,7 +102,8 @@ struct CompactState::View {
 };
 
 CompactState CompactState::freeze(const Simulator& sim,
-                                  const RoutingState& state) {
+                                  const RoutingState& state,
+                                  std::size_t cache_capacity) {
   CompactState out;
   out.sim_ = &sim;
   out.run_nonce_ = state.run_nonce_;
@@ -203,7 +207,7 @@ CompactState CompactState::freeze(const Simulator& sim,
                       bs.equal_best.end());
   }
 
-  out.cache_.resize(n);
+  out.cache_.resize(std::min(n, cache_capacity));
   return out;
 }
 
@@ -268,16 +272,6 @@ std::size_t CompactState::resolve_cache_bytes() const {
          w.hop_ms.capacity() * sizeof(double);
   }
   return b;
-}
-
-void CompactState::set_cache_capacity(std::size_t capacity) {
-  if (capacity >= cache_.size()) return;
-  // Rebuild rather than resize: resize keeps the old capacity alive, and
-  // the whole point of the cap is returning the memory.
-  std::vector<CachedWalk> capped(cache_.begin(),
-                                 cache_.begin() +
-                                     static_cast<std::ptrdiff_t>(capacity));
-  cache_ = std::move(capped);
 }
 
 void CompactState::encode(codec::Writer& out) const {

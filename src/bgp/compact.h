@@ -63,6 +63,9 @@ class CompactState {
  public:
   CompactState() = default;
 
+  /// \brief `freeze`'s default cache capacity: one walk slot for every AS.
+  static constexpr std::size_t kFullCache = ~std::size_t{0};
+
   /// \brief Freezes `state`'s converged tables into the compact layout.
   ///
   /// Reads through the copy-on-write view, so overlay states freeze to the
@@ -72,10 +75,16 @@ class CompactState {
   /// recycled-buffer residue.
   /// \param sim the simulator that ran the state (topology binding).
   /// \param state the converged routing state (unchanged).
+  /// \param cache_capacity client-AS slots of the walk cache (capped at
+  ///        the AS count; 0 disables memoization).  Client ASes at or
+  ///        beyond the cap take plain walks; results are bit-identical at
+  ///        any capacity — this is the `--mem-budget-mb` degradation knob,
+  ///        not a correctness knob, and the cache is sized once, here.
   /// \return the frozen snapshot; independent of `state`'s lifetime, but
   ///         `sim` (and its topology) must outlive it.
-  [[nodiscard]] static CompactState freeze(const Simulator& sim,
-                                           const RoutingState& state);
+  [[nodiscard]] static CompactState freeze(
+      const Simulator& sim, const RoutingState& state,
+      std::size_t cache_capacity = kFullCache);
 
   /// \brief Walks the data plane from a client, exactly as
   ///        `RoutingState::resolve` does (shared implementation,
@@ -122,12 +131,6 @@ class CompactState {
   [[nodiscard]] std::size_t retained_bytes() const;
   /// \brief Heap bytes retained by the walk cache (capacities).
   [[nodiscard]] std::size_t resolve_cache_bytes() const;
-
-  /// \brief Caps the walk cache at `capacity` client-AS slots (0 disables
-  ///        memoization).  Client ASes at or beyond the cap take plain
-  ///        walks; results are bit-identical at any capacity — this is the
-  ///        `--mem-budget-mb` degradation knob, not a correctness knob.
-  void set_cache_capacity(std::size_t capacity);
 
   /// \brief Serializes the RIB tables (slots, fields, interned paths,
   ///        best-route CSR) as codec sections; the walk environment and

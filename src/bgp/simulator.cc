@@ -237,8 +237,13 @@ Simulator::Simulator(const topo::Internet& net,
                 return a.as < b.as;
               });
   }
+  attachment_pop_.assign(attachments_.size(), 0);
   for (AttachmentIndex i = 0; i < attachments_.size(); ++i) {
-    host_attach_[attachments_[i].neighbor.value()].push_back(i);
+    const OriginAttachment& at = attachments_[i];
+    host_attach_[at.neighbor.value()].push_back(i);
+    if (net_.pops.has(at.neighbor)) {
+      attachment_pop_[i] = net_.pops.network(at.neighbor).nearest_pop(at.where);
+    }
   }
 }
 
@@ -920,6 +925,9 @@ ResolvedPath RoutingState::resolve(AsId from, const geo::Coordinates& from_loc,
     [[nodiscard]] const OriginAttachment& attachment(
         AttachmentIndex idx) const {
       return sim->attachments_[idx];
+    }
+    [[nodiscard]] std::size_t attachment_pop(AttachmentIndex idx) const {
+      return sim->attachment_pop(idx);
     }
     [[nodiscard]] geo::Coordinates crossing_where(AsId as, std::size_t /*slot*/,
                                                   AsId neighbor) const {

@@ -259,6 +259,14 @@ class Simulator {
   [[nodiscard]] const topo::Internet& internet() const { return net_; }
   [[nodiscard]] const SimulatorOptions& options() const { return options_; }
 
+  /// Egress PoP of attachment `idx`: the PoP of its neighbor's PoP network
+  /// nearest to the interconnection point (`nearest_pop(where)`), fixed
+  /// per world and computed once here.  Meaningful only when the neighbor
+  /// has a PoP network (`internet().pops.has(neighbor)`); 0 otherwise.
+  [[nodiscard]] std::size_t attachment_pop(AttachmentIndex idx) const {
+    return attachment_pop_[idx];
+  }
+
   /// Runs one BGP experiment from clean state.  `injections` must be sorted
   /// by time; `run_nonce` individualizes jitter (two runs with the same
   /// schedule and nonce are identical).  `scratch`, when given, seeds the
@@ -343,6 +351,7 @@ class Simulator {
   PolicyEngine policy_;
   std::vector<std::vector<DedupNeighbor>> adj_;          ///< per AS
   std::vector<std::vector<AttachmentIndex>> host_attach_;  ///< per AS
+  std::vector<std::size_t> attachment_pop_;  ///< per attachment
 };
 
 }  // namespace anyopt::bgp

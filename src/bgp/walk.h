@@ -30,9 +30,13 @@
 //   std::size_t                      v.adj_count(a)     host slots start here
 //   std::span<const AttachmentIndex> v.host_slots(a)
 //   const OriginAttachment&          v.attachment(idx)
+//   std::size_t                      v.attachment_pop(idx)  egress PoP
 //   geo::Coordinates                 v.crossing_where(a, slot, neighbor)
 // `crossing_where` is the ingress point of the link behind rib slot `slot`
-// (whose advertised route came from `neighbor`).
+// (whose advertised route came from `neighbor`).  `attachment_pop` is the
+// host AS's PoP nearest to the attachment's interconnection point — fixed
+// per world, so both views read `Simulator::attachment_pop`'s table instead
+// of scanning the PoPs per walk.
 
 #include <cstdint>
 #include <span>
@@ -192,6 +196,12 @@ template <class Rib>
           best_med = v.slot_med(cur, base + i);
         }
       }
+      // Interior cost from where the traffic entered: IGP cost between
+      // the ingress PoP (one scan per terminal) and each attachment's
+      // precomputed egress PoP, or the geodesic in a PoP-less AS.
+      const topo::PopNetwork* pn =
+          net.pops.has(cur) ? &net.pops.network(cur) : nullptr;
+      const std::size_t ingress = pn != nullptr ? pn->nearest_pop(cur_loc) : 0;
       double best_cost = 1e18;
       double best_intra = 0;
       AttachmentIndex best_at = kNoAttachment;
@@ -201,16 +211,11 @@ template <class Rib>
             v.slot_med(cur, base + i) != best_med) {
           continue;
         }
-        const OriginAttachment& at = v.attachment(slots[i]);
-        double cost = 0;
-        if (net.pops.has(cur)) {
-          const topo::PopNetwork& pn = net.pops.network(cur);
-          const std::size_t ingress = pn.nearest_pop(cur_loc);
-          const std::size_t egress = pn.nearest_pop(at.where);
-          cost = pn.igp_cost(ingress, egress);
-        } else {
-          cost = geo::one_way_latency_ms(cur_loc, at.where);
-        }
+        const double cost =
+            pn != nullptr
+                ? pn->igp_cost(ingress, v.attachment_pop(slots[i]))
+                : geo::one_way_latency_ms(cur_loc,
+                                          v.attachment(slots[i]).where);
         if (cost < best_cost ||
             (cost == best_cost && slots[i] < best_at)) {
           best_cost = cost;

@@ -268,14 +268,15 @@ Census Orchestrator::census_from_state(bgp::RoutingState& state,
   // layout is dead from here on: recycle its arena before the resolve pass,
   // so at Internet scale the two layouts never coexist.  Over the memory
   // budget the arena must not be PARKED either — skip the recycle and let
-  // the caller's state free on scope exit instead — and the frozen walk
-  // cache degrades to uncached (results are bit-identical at any cache
-  // capacity).  The budget is read once: each read is a procfs read.
-  bgp::CompactState rib =
-      bgp::CompactState::freeze(world_.simulator(), state);
-  if (resmon::over_mem_budget()) {
-    rib.set_cache_capacity(0);
-  } else if (scratch != nullptr) {
+  // the caller's state free on scope exit instead — and the frozen state
+  // carries no walk cache at all (results are bit-identical at any cache
+  // capacity).  The budget is read once, before the freeze: each read is a
+  // procfs read, and a cache sized first would only be dropped.
+  const bool over_budget = resmon::over_mem_budget();
+  bgp::CompactState rib = bgp::CompactState::freeze(
+      world_.simulator(), state,
+      over_budget ? 0 : bgp::CompactState::kFullCache);
+  if (!over_budget && scratch != nullptr) {
     scratch->recycle(std::move(state));
   }
 

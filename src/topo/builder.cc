@@ -129,16 +129,38 @@ Internet build_internet(const InternetParams& params) {
     }
   }
 
+  // --- Fixed geodesics ----------------------------------------------------
+  // Regional and access transits sit exactly on metro centres, so every
+  // geodesic between two transits, and between a stub and a transit, is a
+  // geodesic to a metro.  Each is computed once — a metro x metro table,
+  // plus one metro row per stub — with the argument order of the call it
+  // replaces, so every distance is bit-identical to a per-pair call.
+  const std::size_t metro_count = metros.size();
+  std::vector<double> metro_km(metro_count * metro_count);
+  for (std::size_t a = 0; a < metro_count; ++a) {
+    for (std::size_t b = 0; b < metro_count; ++b) {
+      metro_km[a * metro_count + b] =
+          geo::great_circle_km(metros[a].where, metros[b].where);
+    }
+  }
+  const auto km_between = [&](std::size_t a, std::size_t b) {
+    return metro_km[a * metro_count + b];
+  };
+
   // --- Regional transits (customers of tier-1s) -------------------------
   std::vector<AsId> regionals;
+  // Metro of each transit, regionals then accesses (all_transits' order).
+  std::vector<std::size_t> transit_metro;
   for (int i = 0; i < params.regional_transit_count; ++i) {
     AsNode node;
     node.asn = next_asn++;
     node.tier = Tier::kTransit;
-    node.location = metros[rng.below(metros.size())].where;
+    const std::size_t metro_index = rng.below(metros.size());
+    node.location = metros[metro_index].where;
     sample_policy_flags(node);
     const AsId id = net.graph.add_as(std::move(node));
     regionals.push_back(id);
+    transit_metro.push_back(metro_index);
     const int providers = static_cast<int>(rng.uniform_int(1, 3));
     std::vector<std::size_t> choice(t1_count);
     for (std::size_t k = 0; k < t1_count; ++k) choice[k] = k;
@@ -167,16 +189,17 @@ Internet build_internet(const InternetParams& params) {
     AsNode node;
     node.asn = next_asn++;
     node.tier = Tier::kTransit;
-    node.location = metros[rng.below(metros.size())].where;
+    const std::size_t metro_index = rng.below(metros.size());
+    node.location = metros[metro_index].where;
     sample_policy_flags(node);
     const AsId id = net.graph.add_as(std::move(node));
     accesses.push_back(id);
+    transit_metro.push_back(metro_index);
     // Prefer geographically close regionals as providers.
     by_dist.clear();
-    for (const AsId r : regionals) {
-      by_dist.push_back({geo::great_circle_km(net.graph.node(id).location,
-                                              net.graph.node(r).location),
-                         r});
+    for (std::size_t r = 0; r < regionals.size(); ++r) {
+      by_dist.push_back(
+          {km_between(metro_index, transit_metro[r]), regionals[r]});
     }
     std::partial_sort(
         by_dist.begin(),
@@ -219,8 +242,7 @@ Internet build_internet(const InternetParams& params) {
     for (std::size_t j = i + 1; j < all_transits.size(); ++j) {
       const AsId a = all_transits[i];
       const AsId b = all_transits[j];
-      const double km = geo::great_circle_km(net.graph.node(a).location,
-                                             net.graph.node(b).location);
+      const double km = km_between(transit_metro[i], transit_metro[j]);
       if (km > params.transit_peer_within_km) continue;
       if (!rng.chance(params.transit_peer_prob)) continue;
       if (net.graph.relation(a, b).ok()) continue;
@@ -233,6 +255,15 @@ Internet build_internet(const InternetParams& params) {
   }
 
   // --- Stub (client) ASes ------------------------------------------------
+  // Transits grouped by metro, ascending id within a group (all_transits
+  // is in creation order), for the stubs' nearest-transit ranking.
+  std::vector<std::vector<AsId>> transits_at(metro_count);
+  for (std::size_t t = 0; t < all_transits.size(); ++t) {
+    transits_at[transit_metro[t]].push_back(all_transits[t]);
+  }
+  const std::size_t stub_candidates =
+      std::min<std::size_t>(12, all_transits.size());
+  std::vector<std::pair<double, std::size_t>> metro_row(metro_count);
   for (int i = 0; i < params.stub_count; ++i) {
     AsNode node;
     node.asn = next_asn++;
@@ -255,25 +286,33 @@ Internet build_internet(const InternetParams& params) {
       (void)link;
     }
     // 1-3 transit providers, geographically biased.  Only the 12 nearest
-    // are ever candidates; see the access-transit loop for why
-    // partial_sort picks the identical prefix.
+    // (km, id) pairs are ever candidates.  A transit is exactly as far as
+    // its metro, so rank the metros and take whole metro groups until no
+    // further group can tie or beat the 12th pair; partial_sort over those
+    // picks the identical prefix a scan of all transits would (see the
+    // access-transit loop).
+    const geo::Coordinates& where = net.graph.node(id).location;
+    for (std::size_t m = 0; m < metro_count; ++m) {
+      metro_row[m] = {geo::great_circle_km(where, metros[m].where), m};
+    }
+    std::sort(metro_row.begin(), metro_row.end());
     by_dist.clear();
-    for (const AsId t : all_transits) {
-      by_dist.push_back({geo::great_circle_km(net.graph.node(id).location,
-                                              net.graph.node(t).location),
-                         t});
+    for (const auto& [km, m] : metro_row) {
+      if (!by_dist.empty() && by_dist.size() >= stub_candidates &&
+          km > by_dist.back().first) {
+        break;
+      }
+      for (const AsId t : transits_at[m]) by_dist.push_back({km, t});
     }
     std::partial_sort(
         by_dist.begin(),
-        by_dist.begin() + static_cast<std::ptrdiff_t>(
-                              std::min<std::size_t>(12, by_dist.size())),
+        by_dist.begin() + static_cast<std::ptrdiff_t>(stub_candidates),
         by_dist.end());
     const int providers = static_cast<int>(rng.uniform_int(1, 3));
     int connected = 0;
     for (std::size_t attempt = 0;
-         attempt < by_dist.size() && connected < providers; ++attempt) {
-      const std::size_t pick =
-          rng.below(std::min<std::size_t>(12, by_dist.size()));
+         attempt < all_transits.size() && connected < providers; ++attempt) {
+      const std::size_t pick = rng.below(stub_candidates);
       const AsId provider = by_dist[pick].second;
       if (net.graph.relation(id, provider).ok()) continue;
       auto link = net.graph.connect(

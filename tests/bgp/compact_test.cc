@@ -211,15 +211,18 @@ TEST(CompactRib, CacheCapacityIsAMemoryKnobNotACorrectnessKnob) {
   for (const std::size_t capacity :
        {std::size_t{0}, reference.as_count() / 2}) {
     SCOPED_TRACE("capacity " + std::to_string(capacity));
-    CompactState capped = CompactState::freeze(world.simulator(), state);
-    const std::size_t before = capped.resolve_cache_bytes();
-    capped.set_cache_capacity(capacity);
-    EXPECT_LE(capped.resolve_cache_bytes(), before);
+    const CompactState capped =
+        CompactState::freeze(world.simulator(), state, capacity);
+    EXPECT_LE(capped.resolve_cache_bytes(), reference.resolve_cache_bytes());
     for (std::size_t t = 0; t < targets.size(); t += 3) {
       const anycast::Target& tgt =
           targets.target(TargetId{static_cast<TargetId::underlying_type>(t)});
       expect_paths_equal(reference.resolve(tgt.as, tgt.where, t),
                          capped.resolve(tgt.as, tgt.where, t), t);
+    }
+    // No cache is ever allocated at capacity 0, not even lazily.
+    if (capacity == 0) {
+      EXPECT_EQ(capped.resolve_cache_bytes(), 0u);
     }
   }
 }

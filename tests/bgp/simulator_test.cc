@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "anycast/world.h"
 #include "support/mini_world.h"
 
 namespace anyopt::bgp {
@@ -299,6 +300,28 @@ TEST(Simulator, StabilizesOnLargerRandomTopology) {
     }
   }
   EXPECT_EQ(reachable, net.graph.as_count());
+}
+
+TEST(Simulator, AttachmentPopTableMatchesNearestPopScan) {
+  // The walk reads each attachment's egress PoP from the table the
+  // constructor builds; it must be exactly the scan it replaces.
+  for (const anycast::WorldParams& params :
+       {anycast::WorldParams::test_scale(23),
+        anycast::WorldParams::paper_scale(1897)}) {
+    const auto world = anycast::World::create(params);
+    const Simulator& sim = world->simulator();
+    const topo::PopRegistry& pops = world->internet().pops;
+    std::size_t with_pops = 0;
+    for (AttachmentIndex i = 0; i < sim.attachments().size(); ++i) {
+      const OriginAttachment& at = sim.attachments()[i];
+      if (!pops.has(at.neighbor)) continue;
+      ++with_pops;
+      EXPECT_EQ(sim.attachment_pop(i),
+                pops.network(at.neighbor).nearest_pop(at.where))
+          << "attachment " << i;
+    }
+    EXPECT_GT(with_pops, 0u);
+  }
 }
 
 }  // namespace

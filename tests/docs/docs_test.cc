@@ -291,27 +291,28 @@ TEST(DocsTest, AgilityTelemetryCountersAreDocumented) {
   EXPECT_GE(names, 6u) << "kAgilityMetrics parse came up short";
 }
 
-TEST(DocsTest, OptimizerTelemetryCountersAreDocumented) {
-  // Every `optimizer.*` telemetry name registered anywhere under src/ must
-  // appear (backticked) in DESIGN.md §5, so a new search counter cannot
-  // ship undocumented.  Names are collected from the string literals that
-  // register them.
+/// DESIGN.md §5 (Observability), the section every telemetry name must be
+/// documented in.
+std::string observability_section() {
   const std::string design = read_file(source_dir() / "DESIGN.md");
   const std::size_t begin = design.find("## 5. Observability");
   const std::size_t end = design.find("## 6.", begin);
-  ASSERT_NE(begin, std::string::npos);
-  ASSERT_NE(end, std::string::npos);
-  const std::string section = design.substr(begin, end - begin);
+  if (begin == std::string::npos || end == std::string::npos) return {};
+  return design.substr(begin, end - begin);
+}
 
+/// Every distinct string literal under src/ that starts with `prefix` (a
+/// telemetry namespace such as "optimizer."), file names excluded.
+std::vector<std::string> telemetry_names(const std::string& prefix) {
   std::vector<std::string> names;
   for (const auto& entry :
        fs::recursive_directory_iterator(source_dir() / "src")) {
     const std::string ext = entry.path().extension().string();
     if (ext != ".h" && ext != ".cc") continue;
     const std::string text = read_file(entry.path());
-    const std::string prefix = "\"optimizer.";
-    for (std::size_t at = text.find(prefix); at != std::string::npos;
-         at = text.find(prefix, at + 1)) {
+    const std::string quoted = '"' + prefix;
+    for (std::size_t at = text.find(quoted); at != std::string::npos;
+         at = text.find(quoted, at + 1)) {
       const std::size_t close = text.find('"', at + 1);
       const std::string name = text.substr(at + 1, close - at - 1);
       if (name.ends_with(".h") || name.ends_with(".cc")) continue;
@@ -320,6 +321,17 @@ TEST(DocsTest, OptimizerTelemetryCountersAreDocumented) {
       }
     }
   }
+  return names;
+}
+
+TEST(DocsTest, OptimizerTelemetryCountersAreDocumented) {
+  // Every `optimizer.*` telemetry name registered anywhere under src/ must
+  // appear (backticked) in DESIGN.md §5, so a new search counter cannot
+  // ship undocumented.  Names are collected from the string literals that
+  // register them.
+  const std::string section = observability_section();
+  ASSERT_FALSE(section.empty());
+  const std::vector<std::string> names = telemetry_names("optimizer.");
   for (const std::string& name : names) {
     EXPECT_NE(section.find('`' + name + '`'), std::string::npos)
         << "DESIGN.md §5 must document the " << name << " counter";
@@ -329,6 +341,23 @@ TEST(DocsTest, OptimizerTelemetryCountersAreDocumented) {
         "optimizer.subset_tables", "optimizer.subset_patterns"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), known), names.end())
         << "counter scan missed " << known;
+  }
+}
+
+TEST(DocsTest, WorldBuildSpansAreDocumented) {
+  // Same rule for the world-build stage spans and histograms (`world.*`):
+  // the setup-time breakdown `--metrics` prints must be documented.
+  const std::string section = observability_section();
+  ASSERT_FALSE(section.empty());
+  const std::vector<std::string> names = telemetry_names("world.");
+  for (const std::string& name : names) {
+    EXPECT_NE(section.find('`' + name + '`'), std::string::npos)
+        << "DESIGN.md §5 must document the " << name << " span";
+  }
+  for (const char* known : {"world.topology", "world.deployment",
+                            "world.targets", "world.simulator"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), known), names.end())
+        << "span scan missed " << known;
   }
 }
 

@@ -3,7 +3,7 @@
 // change a single measured bit.  The baseline takes the production
 // degradation rung instead of a test-only switch: its runs happen under a
 // memory budget the process is always over (`--mem-budget-mb`), so every
-// census caps the frozen walk cache to zero, and its orchestrator reuses
+// census freezes with no walk cache at all, and its orchestrator reuses
 // no scratch.  Censuses and preference tables must be byte-identical to
 // the amortized defaults across every thread count, and `explain()` must
 // agree with the census resolve it diagnoses.
@@ -197,6 +197,7 @@ TEST_F(CacheInvarianceTest, AmortizationActuallyEngages) {
 
   EXPECT_GT(reg.counter_value("bgp.resolve.cache_hit"), 0u);
   EXPECT_GT(reg.counter_value("sim.scratch_reuse"), 0u);
+  EXPECT_GT(reg.gauge_max("bytes.resolve_cache"), 0);
 
   reg.reset();
   CampaignRunnerOptions off_options;
@@ -210,6 +211,8 @@ TEST_F(CacheInvarianceTest, AmortizationActuallyEngages) {
 
   EXPECT_EQ(reg.counter_value("bgp.resolve.cache_hit"), 0u);
   EXPECT_EQ(reg.counter_value("sim.scratch_reuse"), 0u);
+  // Over the budget no census holds a walk cache at any point.
+  EXPECT_EQ(reg.gauge_max("bytes.resolve_cache"), 0);
 }
 
 }  // namespace
