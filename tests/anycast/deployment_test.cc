@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <unordered_set>
 
 #include "anycast/world.h"
+#include "netbase/rng.h"
 
 namespace anyopt::anycast {
 namespace {
@@ -124,6 +126,34 @@ TEST_F(DeploymentTest, CoLocatedSitesAreDistinguishable) {
   EXPECT_EQ(a.neighbor, b.neighbor);  // same Zayo AS
   EXPECT_NE(d.site(SiteId{2}).where.latitude_deg,
             d.site(SiteId{7}).where.latitude_deg);
+}
+
+/// Digest of every realized attachment (neighbor, site, latency bits and
+/// the filter flag): the whole observable output of peer selection.
+std::uint64_t attachment_digest(const Deployment& d) {
+  std::uint64_t h = 0xA77AC4ULL;
+  for (const bgp::OriginAttachment& a : d.attachments()) {
+    h = mix64(h, a.neighbor.value());
+    h = mix64(h, a.site.value());
+    h = mix64(h, std::bit_cast<std::uint64_t>(a.latency_ms));
+    h = mix64(h, a.filtered ? 1 : 0);
+  }
+  return h;
+}
+
+// Golden deployments: `Deployment::realize` must keep choosing exactly
+// these peers, so a faster candidate filter cannot pick different ones.
+constexpr std::uint64_t kPaperScaleAttachments = 14345664767754724855ULL;
+constexpr std::uint64_t kAt35kAttachments = 3494207934719282809ULL;
+
+TEST(DeploymentGolden, AttachmentsPaperScale) {
+  const auto world = World::create(WorldParams::paper_scale(1897));
+  EXPECT_EQ(attachment_digest(world->deployment()), kPaperScaleAttachments);
+}
+
+TEST(DeploymentGolden, AttachmentsAt35kAses) {
+  const auto world = World::create(WorldParams::at_scale(35000, 1897));
+  EXPECT_EQ(attachment_digest(world->deployment()), kAt35kAttachments);
 }
 
 }  // namespace

@@ -11,9 +11,12 @@
 #include <vector>
 
 #include "anycast/world.h"
+#include "core/discovery.h"
+#include "core/peers.h"
 #include "measure/campaign_runner.h"
 #include "measure/store.h"
 #include "netbase/rng.h"
+#include "netbase/telemetry.h"
 #include "topo/serialize.h"
 
 namespace anyopt::measure {
@@ -156,6 +159,66 @@ TEST(StoreConcurrency, IndependentRunnersAppendConcurrently) {
           ResultStore::census_key(spec.config, spec.nonce);
       EXPECT_TRUE(store.value()->find_census(key).has_value());
     }
+  }
+}
+
+TEST(StoreConcurrency, PooledIncrementalDiscoveryReplaysFromStore) {
+  // Overlay pairs replay through a shared store on four workers: the
+  // second run of one Discovery (bases cached) simulates nothing.
+  TempFile f("incremental_discovery");
+  const Orchestrator orchestrator(world());
+  auto store = ResultStore::open(f.path, world_fingerprint());
+  ASSERT_TRUE(store.ok());
+  core::DiscoveryOptions options;
+  options.threads = 4;
+  options.incremental = true;
+  options.store = store.value().get();
+  const core::Discovery discovery(orchestrator, options);
+  const core::DiscoveryResult cold = discovery.run();
+
+  telemetry::set_enabled(true);
+  auto& reg = telemetry::Registry::global();
+  const std::uint64_t events_before = reg.counter_value("bgp.sim.events");
+  const std::uint64_t hits_before = reg.counter_value("store.hits");
+  const core::DiscoveryResult warm = discovery.run();
+  EXPECT_EQ(reg.counter_value("bgp.sim.events") - events_before, 0u);
+  EXPECT_EQ(reg.counter_value("store.hits") - hits_before, cold.experiments);
+  telemetry::set_enabled(false);
+  EXPECT_EQ(warm.experiments, cold.experiments);
+  EXPECT_EQ(warm.provider_prefs.outcome, cold.provider_prefs.outcome);
+  ASSERT_EQ(warm.site_prefs.size(), cold.site_prefs.size());
+  for (std::size_t p = 0; p < warm.site_prefs.size(); ++p) {
+    EXPECT_EQ(warm.site_prefs[p].outcome, cold.site_prefs[p].outcome)
+        << "provider " << p;
+  }
+}
+
+TEST(StoreConcurrency, PooledIncrementalOnePassReplaysFromStore) {
+  TempFile f("incremental_onepass");
+  const Orchestrator orchestrator(world());
+  auto store = ResultStore::open(f.path, world_fingerprint());
+  ASSERT_TRUE(store.ok());
+  core::OnePassOptions options;
+  options.threads = 4;
+  options.incremental = true;
+  options.store = store.value().get();
+  const core::OnePassPeerSelector selector(orchestrator, options);
+  anycast::AnycastConfig baseline;
+  baseline.announce_order = {SiteId{0}, SiteId{1}};
+  const core::OnePassResult cold = selector.run(baseline);
+
+  telemetry::set_enabled(true);
+  auto& reg = telemetry::Registry::global();
+  const std::uint64_t hits_before = reg.counter_value("store.hits");
+  const core::OnePassResult warm = selector.run(baseline);
+  EXPECT_EQ(reg.counter_value("store.hits") - hits_before,
+            cold.experiments + 1);
+  telemetry::set_enabled(false);
+  EXPECT_EQ(warm.baseline_mean_rtt, cold.baseline_mean_rtt);
+  EXPECT_EQ(warm.chosen, cold.chosen);
+  ASSERT_EQ(warm.peers.size(), cold.peers.size());
+  for (std::size_t k = 0; k < warm.peers.size(); ++k) {
+    EXPECT_EQ(warm.peers[k].mean_rtt_ms, cold.peers[k].mean_rtt_ms);
   }
 }
 
