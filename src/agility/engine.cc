@@ -103,20 +103,20 @@ MitigationResult AgilityEngine::mitigate(
     }
     const std::uint64_t nonce =
         count == 0 ? mix64(options_.seed, 0xBA5E11E0ULL) : keys[count - 1];
-    thread_local bgp::SimScratch scratch;
+    bgp::SimScratch* scratch = &measure::Orchestrator::thread_scratch();
     StepOutcome outcome;
     outcome.at_s = static_cast<double>(count) * options_.knob_delay_s;
     std::size_t events = 0;
     measure::Census census;
     if (options_.use_overlays) {
       census = orchestrator_.measure_overlay(*shared, config, delta, nonce,
-                                             &scratch, {}, &events);
+                                             scratch, {}, &events);
       if (telem) AgilityMetrics::get().overlay_steps->add(1);
     } else {
       const bgp::BaseState priv =
           orchestrator_.converge_base(deployed, base_nonce);
       census = orchestrator_.measure_overlay(priv, config, delta, nonce,
-                                             &scratch, {}, &events);
+                                             scratch, {}, &events);
       events += priv.events();
       if (telem) AgilityMetrics::get().classic_steps->add(1);
     }

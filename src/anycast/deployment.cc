@@ -109,7 +109,7 @@ Deployment Deployment::realize(const topo::Internet& net,
       if (used_peer_as.contains(id.value())) continue;
       const double km = geo::great_circle_km(site.where, node.location);
       if (km > 3000) continue;  // IXP-reachable radius
-      if (net.graph.customer_cone(id).size() > max_cone) continue;
+      if (net.graph.customer_cone_exceeds(id, max_cone)) continue;
       candidates.push_back({km, id});
     }
     std::sort(candidates.begin(), candidates.end(),

@@ -146,169 +146,157 @@ std::shared_ptr<const bgp::BaseState> Discovery::base_for(SiteId first) const {
 std::vector<measure::Census> Discovery::measure_jobs(
     std::span<const PairJob> jobs, std::size_t* experiments,
     std::size_t ordinal_base) const {
-  if (incremental_active()) {
-    const auto& deployment = orchestrator_.world().deployment();
-    // A pair can anchor its shared base on either side: base = "anchor
-    // announced alone", leg "anchor first" = announce-delta fork, leg
-    // "anchor second" = re-age resume.  The anchor's flood is paid once
-    // in the (shared) base while the trailing side's announce-delta flood
-    // is paid per leg, so anchor each pair on the side whose transit
-    // provider is better connected — the weaker provider's smaller flood
-    // is the one that repeats.  Degree is a pure topology read, so the
-    // choice is deterministic and identical at every thread count.
-    const auto& graph = orchestrator_.world().internet().graph;
-    const auto provider_degree = [&](SiteId site) {
-      const bgp::AttachmentIndex a = deployment.transit_attachment(site);
-      return graph.node(deployment.attachments()[a].neighbor)
-          .neighbors.size();
-    };
-    std::vector<std::uint8_t> swapped(jobs.size(), 0);
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
-      swapped[k] =
-          provider_degree(jobs[k].second) > provider_degree(jobs[k].first)
-              ? std::uint8_t{1}
-              : std::uint8_t{0};
+  // Measures every unit — whatever simulates together: one spec on the
+  // classic path, one overlay pair on the incremental path — into the
+  // census layout `slot_of(unit, leg)` names, then retries.  Resilience: a
+  // discovery experiment always announces via transit, so an empty census
+  // can only mean the round was lost (fault injection or a real outage).
+  // A unit with ANY empty leg re-runs whole with a bumped fault-layer
+  // attempt, but only its empty legs are overwritten: the nonce never
+  // changes, so a kept leg equals what the retry would remeasure, a retry
+  // that survives reproduces the fault-free census bit for bit, and the
+  // tables converge on the fault-free preference order.
+  const auto measure_units = [&](const auto& specs, std::size_t legs,
+                                 const auto& run, const auto& slot_of) {
+    std::vector<measure::Census> censuses(specs.size() * legs);
+    std::vector<measure::Census> raw = run(specs);
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      for (std::size_t leg = 0; leg < legs; ++leg) {
+        censuses[slot_of(k, leg)] = std::move(raw[k * legs + leg]);
+      }
     }
-    // Converge (or fetch) all bases up front on the calling thread, so
-    // worker threads only ever fork read-only overlays — event counts and
-    // censuses stay independent of thread count and completion order.
-    std::vector<std::shared_ptr<const bgp::BaseState>> bases;
-    bases.reserve(jobs.size());
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
-      bases.push_back(
-          base_for(swapped[k] != 0 ? jobs[k].second : jobs[k].first));
-    }
-
-    std::vector<measure::OverlayPairSpec> specs(jobs.size());
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
-      const PairJob& job = jobs[k];
-      // The overlay anchor leads the pair's leg 0; a swapped pair runs
-      // (second, first) as its leg 0 and maps the censuses back below.
-      // Nonces and ordinals follow the CONFIG (the experiment identity),
-      // not the mechanism, so a swapped pair's censuses land under the
-      // same store keys and fault coordinates as an unswapped one.
-      const SiteId lead = swapped[k] != 0 ? job.second : job.first;
-      const SiteId trail = swapped[k] != 0 ? job.first : job.second;
-      const std::size_t lead_leg = swapped[k] != 0 ? 1 : 0;
-      measure::OverlayPairSpec& spec = specs[k];
-      spec.base = bases[k].get();
-      spec.config0.announce_order = {lead, trail};
-      spec.config0.spacing_s = options_.spacing_s;
-      spec.config1.announce_order = {trail, lead};
-      spec.config1.spacing_s = options_.spacing_s;
-      // Leg 0 over the base "lead alone": announce the trailing item one
-      // spacing after the base's announcement, exactly where the classic
-      // (lead, trail) schedule puts it.
-      spec.delta = {bgp::Injection{options_.spacing_s,
-                                   deployment.transit_attachment(trail),
-                                   false}};
-      // Leg 1 re-ages the lead item's session: its routes take fresh
-      // arrival seqs, making the pair effectively (trail, lead).
-      spec.reage = {deployment.transit_attachment(lead)};
-      spec.nonce0 = incremental_nonce(job.first, job.second, lead_leg);
-      spec.nonce1 = incremental_nonce(job.first, job.second, 1 - lead_leg);
-      spec.ordinal0 = ordinal_base + 2 * k + lead_leg;
-      spec.ordinal1 = ordinal_base + 2 * k + (1 - lead_leg);
-    }
-    // Census layout contract for callers: slot 2k = (first, second),
-    // slot 2k+1 = (second, first) — a swapped pair's legs cross over.
-    auto slot_of = [&](std::size_t k, std::size_t leg) {
-      return swapped[k] != 0 ? 2 * k + 1 - leg : 2 * k + leg;
-    };
-    std::vector<measure::Census> censuses(jobs.size() * 2);
-    std::vector<measure::Census> raw = runner_.run_overlay_pairs(specs);
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
-      censuses[slot_of(k, 0)] = std::move(raw[2 * k]);
-      censuses[slot_of(k, 1)] = std::move(raw[2 * k + 1]);
-    }
-    if (experiments != nullptr) *experiments += specs.size() * 2;
-
-    // Resilience, pair-at-a-time: a pair simulates as a unit, so a pair
-    // with ANY empty leg re-runs whole — but only its empty legs are
-    // overwritten, keeping legs that already survived (their nonce never
-    // changes, so a kept leg equals what the retry would remeasure).
+    if (experiments != nullptr) *experiments += specs.size() * legs;
     for (std::size_t round = 1; round <= options_.retry_rounds; ++round) {
       std::vector<std::size_t> missing;
       for (std::size_t k = 0; k < specs.size(); ++k) {
-        if (censuses[2 * k].reachable_count() == 0 ||
-            censuses[2 * k + 1].reachable_count() == 0) {
-          missing.push_back(k);
-        }
-      }
-      if (missing.empty()) break;
-      std::vector<measure::OverlayPairSpec> retry_specs;
-      retry_specs.reserve(missing.size());
-      for (const std::size_t k : missing) {
-        measure::OverlayPairSpec spec = specs[k];
-        spec.attempt = static_cast<std::uint32_t>(round);
-        retry_specs.push_back(std::move(spec));
-      }
-      std::vector<measure::Census> retried =
-          runner_.run_overlay_pairs(retry_specs);
-      for (std::size_t r = 0; r < missing.size(); ++r) {
-        const std::size_t k = missing[r];
-        for (const std::size_t leg : {std::size_t{0}, std::size_t{1}}) {
-          const std::size_t slot = slot_of(k, leg);
-          if (censuses[slot].reachable_count() == 0) {
-            censuses[slot] = std::move(retried[2 * r + leg]);
+        for (std::size_t leg = 0; leg < legs; ++leg) {
+          if (censuses[slot_of(k, leg)].reachable_count() == 0) {
+            missing.push_back(k);
+            break;
           }
         }
       }
-      if (experiments != nullptr) *experiments += retry_specs.size() * 2;
+      if (missing.empty()) break;
+      std::remove_cvref_t<decltype(specs)> retry_specs;
+      retry_specs.reserve(missing.size());
+      for (const std::size_t k : missing) {
+        retry_specs.push_back(specs[k]);
+        retry_specs.back().attempt = static_cast<std::uint32_t>(round);
+      }
+      std::vector<measure::Census> retried = run(retry_specs);
+      for (std::size_t r = 0; r < missing.size(); ++r) {
+        for (std::size_t leg = 0; leg < legs; ++leg) {
+          measure::Census& slot = censuses[slot_of(missing[r], leg)];
+          if (slot.reachable_count() == 0) {
+            slot = std::move(retried[r * legs + leg]);
+          }
+        }
+      }
+      if (experiments != nullptr) *experiments += retry_specs.size() * legs;
       if (telemetry::enabled()) {
-        DiscoveryMetrics::get().requeued->add(retry_specs.size() * 2);
+        DiscoveryMetrics::get().requeued->add(retry_specs.size() * legs);
       }
     }
     return censuses;
-  }
+  };
 
-  std::vector<measure::ExperimentSpec> specs;
-  specs.reserve(jobs.size() * (options_.account_order ? 2 : 1));
-  for (const PairJob& job : jobs) {
-    if (options_.account_order) {
-      specs.push_back(make_spec(job.first, job.second, options_.spacing_s, 0));
-      specs.push_back(make_spec(job.second, job.first, options_.spacing_s, 1));
-    } else {
-      // Naive mode: one simultaneous announcement; whatever wins is taken
-      // as the (supposed) strict preference.
-      specs.push_back(make_spec(job.first, job.second, 0.0, 0));
+  if (!incremental_active()) {
+    std::vector<measure::ExperimentSpec> specs;
+    specs.reserve(jobs.size() * (options_.account_order ? 2 : 1));
+    for (const PairJob& job : jobs) {
+      if (options_.account_order) {
+        specs.push_back(
+            make_spec(job.first, job.second, options_.spacing_s, 0));
+        specs.push_back(
+            make_spec(job.second, job.first, options_.spacing_s, 1));
+      } else {
+        // Naive mode: one simultaneous announcement; whatever wins is
+        // taken as the (supposed) strict preference.
+        specs.push_back(make_spec(job.first, job.second, 0.0, 0));
+      }
     }
-  }
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    specs[i].ordinal = ordinal_base + i;
-  }
-  std::vector<measure::Census> censuses = runner_.run(specs);
-  if (experiments != nullptr) *experiments += specs.size();
-
-  // Resilience: a discovery experiment always announces via transit, so an
-  // empty census can only mean the round was lost (fault injection or a
-  // real outage) — re-enqueue those specs with a bumped fault-layer
-  // attempt.  The nonce is unchanged, so a retry that survives reproduces
-  // the fault-free census bit for bit and the tables converge on the
-  // fault-free preference order.
-  for (std::size_t round = 1; round <= options_.retry_rounds; ++round) {
-    std::vector<std::size_t> missing;
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (censuses[i].reachable_count() == 0) missing.push_back(i);
+      specs[i].ordinal = ordinal_base + i;
     }
-    if (missing.empty()) break;
-    std::vector<measure::ExperimentSpec> retry_specs;
-    retry_specs.reserve(missing.size());
-    for (const std::size_t i : missing) {
-      measure::ExperimentSpec spec = specs[i];
-      spec.attempt = static_cast<std::uint32_t>(round);
-      retry_specs.push_back(std::move(spec));
-    }
-    std::vector<measure::Census> retried = runner_.run(retry_specs);
-    for (std::size_t k = 0; k < missing.size(); ++k) {
-      censuses[missing[k]] = std::move(retried[k]);
-    }
-    if (experiments != nullptr) *experiments += retry_specs.size();
-    if (telemetry::enabled()) {
-      DiscoveryMetrics::get().requeued->add(retry_specs.size());
-    }
+    return measure_units(
+        specs, 1,
+        [&](const std::vector<measure::ExperimentSpec>& batch) {
+          return runner_.run(batch);
+        },
+        [](std::size_t k, std::size_t) { return k; });
   }
-  return censuses;
+
+  const auto& deployment = orchestrator_.world().deployment();
+  // A pair can anchor its shared base on either side: base = "anchor
+  // announced alone", leg "anchor first" = announce-delta fork, leg
+  // "anchor second" = re-age resume.  The anchor's flood is paid once in
+  // the (shared) base while the trailing side's announce-delta flood is
+  // paid per leg, so anchor each pair on the side whose transit provider
+  // is better connected — the weaker provider's smaller flood is the one
+  // that repeats.  Degree is a pure topology read, so the choice is
+  // deterministic and identical at every thread count.
+  const auto& graph = orchestrator_.world().internet().graph;
+  const auto provider_degree = [&](SiteId site) {
+    const bgp::AttachmentIndex a = deployment.transit_attachment(site);
+    return graph.node(deployment.attachments()[a].neighbor).neighbors.size();
+  };
+  std::vector<std::uint8_t> swapped(jobs.size(), 0);
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    swapped[k] =
+        provider_degree(jobs[k].second) > provider_degree(jobs[k].first)
+            ? std::uint8_t{1}
+            : std::uint8_t{0};
+  }
+  // Converge (or fetch) all bases up front on the calling thread, so
+  // worker threads only ever fork read-only overlays — event counts and
+  // censuses stay independent of thread count and completion order.
+  std::vector<std::shared_ptr<const bgp::BaseState>> bases;
+  bases.reserve(jobs.size());
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    bases.push_back(
+        base_for(swapped[k] != 0 ? jobs[k].second : jobs[k].first));
+  }
+
+  std::vector<measure::OverlayPairSpec> specs(jobs.size());
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    const PairJob& job = jobs[k];
+    // The overlay anchor leads the pair's leg 0; a swapped pair runs
+    // (second, first) as its leg 0 and maps the censuses back below.
+    // Nonces and ordinals follow the CONFIG (the experiment identity),
+    // not the mechanism, so a swapped pair's censuses land under the
+    // same store keys and fault coordinates as an unswapped one.
+    const SiteId lead = swapped[k] != 0 ? job.second : job.first;
+    const SiteId trail = swapped[k] != 0 ? job.first : job.second;
+    const std::size_t lead_leg = swapped[k] != 0 ? 1 : 0;
+    measure::OverlayPairSpec& spec = specs[k];
+    spec.base = bases[k].get();
+    spec.config0.announce_order = {lead, trail};
+    spec.config0.spacing_s = options_.spacing_s;
+    spec.config1.announce_order = {trail, lead};
+    spec.config1.spacing_s = options_.spacing_s;
+    // Leg 0 over the base "lead alone": announce the trailing item one
+    // spacing after the base's announcement, exactly where the classic
+    // (lead, trail) schedule puts it.
+    spec.delta = {bgp::Injection{options_.spacing_s,
+                                 deployment.transit_attachment(trail), false}};
+    // Leg 1 re-ages the lead item's session: its routes take fresh
+    // arrival seqs, making the pair effectively (trail, lead).
+    spec.reage = {deployment.transit_attachment(lead)};
+    spec.nonce0 = incremental_nonce(job.first, job.second, lead_leg);
+    spec.nonce1 = incremental_nonce(job.first, job.second, 1 - lead_leg);
+    spec.ordinal0 = ordinal_base + 2 * k + lead_leg;
+    spec.ordinal1 = ordinal_base + 2 * k + (1 - lead_leg);
+  }
+  // Census layout contract for callers: slot 2k = (first, second), slot
+  // 2k+1 = (second, first) — a swapped pair's legs cross over.
+  return measure_units(
+      specs, 2,
+      [&](const std::vector<measure::OverlayPairSpec>& batch) {
+        return runner_.run_overlay_pairs(batch);
+      },
+      [&](std::size_t k, std::size_t leg) {
+        return swapped[k] != 0 ? 2 * k + 1 - leg : 2 * k + leg;
+      });
 }
 
 std::vector<std::vector<PrefKind>> Discovery::classify_jobs(
@@ -368,88 +356,67 @@ std::vector<std::vector<PrefKind>> Discovery::classify_from_censuses(
   return out;
 }
 
-PairwiseTable Discovery::provider_level(std::size_t* experiments) const {
-  const auto& deployment = orchestrator_.world().deployment();
-  const std::size_t providers = deployment.provider_count();
-  const std::size_t targets = orchestrator_.world().targets().size();
-  PairwiseTable table;
-  table.init(providers, targets);
-
-  std::vector<PairJob> jobs;
-  std::vector<std::pair<std::size_t, std::size_t>> job_pairs;
-  jobs.reserve(pair_count(providers));
-  job_pairs.reserve(pair_count(providers));
-  for (std::size_t p = 0; p < providers; ++p) {
-    for (std::size_t q = p + 1; q < providers; ++q) {
-      const SiteId rep_p =
-          representative(ProviderId{static_cast<ProviderId::underlying_type>(p)});
-      const SiteId rep_q =
-          representative(ProviderId{static_cast<ProviderId::underlying_type>(q)});
-      // A provider without a representative (no attached sites) cannot be
-      // announced; its pairs stay kUnknown.
-      if (!rep_p.valid() || !rep_q.valid()) continue;
-      jobs.push_back({rep_p, rep_q});
-      job_pairs.push_back({p, q});
-    }
-  }
-
-  std::size_t runs = 0;
-  const auto classified = classify_jobs(jobs, &runs, options_.ordinal_base);
-  for (std::size_t k = 0; k < jobs.size(); ++k) {
-    const auto [p, q] = job_pairs[k];
-    for (std::size_t t = 0; t < targets; ++t) {
-      table.set(p, q, t, classified[k][t]);
-    }
-  }
-  if (experiments != nullptr) *experiments = runs;
-  return table;
-}
-
-Discovery::ProviderLevelViews Discovery::provider_level_views(
-    std::size_t* experiments) const {
-  ProviderLevelViews views;
-  if (!options_.account_order) {
-    // No per-order legs to derive the naive view from: both views ARE the
-    // naive table.
-    views.ordered = provider_level(experiments);
-    views.naive = views.ordered;
-    return views;
-  }
-  const auto& deployment = orchestrator_.world().deployment();
-  const std::size_t providers = deployment.provider_count();
-  const std::size_t targets = orchestrator_.world().targets().size();
-  views.ordered.init(providers, targets);
-  views.naive.init(providers, targets);
-
-  std::vector<PairJob> jobs;
-  std::vector<std::pair<std::size_t, std::size_t>> job_pairs;
-  jobs.reserve(pair_count(providers));
-  job_pairs.reserve(pair_count(providers));
+Discovery::ProviderJobs Discovery::provider_jobs() const {
+  const std::size_t providers =
+      orchestrator_.world().deployment().provider_count();
+  ProviderJobs out;
+  out.jobs.reserve(pair_count(providers));
+  out.slots.reserve(pair_count(providers));
   for (std::size_t p = 0; p < providers; ++p) {
     for (std::size_t q = p + 1; q < providers; ++q) {
       const SiteId rep_p = representative(
           ProviderId{static_cast<ProviderId::underlying_type>(p)});
       const SiteId rep_q = representative(
           ProviderId{static_cast<ProviderId::underlying_type>(q)});
+      // A provider without a representative (no attached sites) cannot be
+      // announced; its pairs stay kUnknown.
       if (!rep_p.valid() || !rep_q.valid()) continue;
-      jobs.push_back({rep_p, rep_q});
-      job_pairs.push_back({p, q});
+      out.jobs.push_back({rep_p, rep_q});
+      out.slots.push_back({p, q});
     }
   }
+  return out;
+}
 
+PairwiseTable Discovery::provider_level(std::size_t* experiments) const {
+  return provider_level_views(experiments).ordered;
+}
+
+Discovery::ProviderLevelViews Discovery::provider_level_views(
+    std::size_t* experiments) const {
+  const std::size_t providers =
+      orchestrator_.world().deployment().provider_count();
+  const std::size_t targets = orchestrator_.world().targets().size();
+  const ProviderJobs provider = provider_jobs();
   std::size_t runs = 0;
   const std::vector<measure::Census> censuses =
-      measure_jobs(jobs, &runs, options_.ordinal_base);
-  const auto classified = classify_from_censuses(jobs, censuses);
-  for (std::size_t k = 0; k < jobs.size(); ++k) {
-    const auto [p, q] = job_pairs[k];
-    const PairJob& job = jobs[k];
+      measure_jobs(provider.jobs, &runs, options_.ordinal_base);
+  const auto classified = classify_from_censuses(provider.jobs, censuses);
+
+  ProviderLevelViews views;
+  views.ordered.init(providers, targets);
+  for (std::size_t k = 0; k < provider.jobs.size(); ++k) {
+    const auto [p, q] = provider.slots[k];
+    for (std::size_t t = 0; t < targets; ++t) {
+      views.ordered.set(p, q, t, classified[k][t]);
+    }
+  }
+  if (experiments != nullptr) *experiments = runs;
+  if (!options_.account_order) {
+    // No per-order legs to derive the naive view from: both views ARE the
+    // naive table.
+    views.naive = views.ordered;
+    return views;
+  }
+  views.naive.init(providers, targets);
+  for (std::size_t k = 0; k < provider.jobs.size(); ++k) {
+    const auto [p, q] = provider.slots[k];
+    const PairJob& job = provider.jobs[k];
     const PairOutcomes ab =
         census_winners(censuses[2 * k], job.first, job.second);
     const PairOutcomes ba =
         census_winners(censuses[2 * k + 1], job.second, job.first);
     for (std::size_t t = 0; t < targets; ++t) {
-      views.ordered.set(p, q, t, classified[k][t]);
       // The naive view, derived: a naive campaign announces once and
       // takes the winner as strict.  Targets whose winner flips with
       // announcement order would produce contradicting "strict"
@@ -471,7 +438,6 @@ Discovery::ProviderLevelViews Discovery::provider_level_views(
       views.naive.set(p, q, t, naive_kind);
     }
   }
-  if (experiments != nullptr) *experiments = runs;
   return views;
 }
 
@@ -506,8 +472,10 @@ std::vector<PairwiseTable> Discovery::site_level(
   // Site-level ordinals start after the provider level's so one FaultPlan
   // timeline covers a whole `run()` campaign.
   std::size_t runs = 0;
-  const auto classified = classify_jobs(
-      jobs, &runs, options_.ordinal_base + provider_level_spec_count());
+  const std::size_t provider_specs =
+      provider_jobs().jobs.size() * (options_.account_order ? 2 : 1);
+  const auto classified =
+      classify_jobs(jobs, &runs, options_.ordinal_base + provider_specs);
   for (std::size_t k = 0; k < jobs.size(); ++k) {
     const Slot& slot = slots[k];
     for (std::size_t t = 0; t < targets; ++t) {
@@ -516,23 +484,6 @@ std::vector<PairwiseTable> Discovery::site_level(
   }
   if (experiments != nullptr) *experiments = runs;
   return tables;
-}
-
-std::size_t Discovery::provider_level_spec_count() const {
-  const auto& deployment = orchestrator_.world().deployment();
-  const std::size_t providers = deployment.provider_count();
-  const std::size_t legs = options_.account_order ? 2 : 1;
-  std::size_t pairs = 0;
-  for (std::size_t p = 0; p < providers; ++p) {
-    for (std::size_t q = p + 1; q < providers; ++q) {
-      const SiteId rep_p = representative(
-          ProviderId{static_cast<ProviderId::underlying_type>(p)});
-      const SiteId rep_q = representative(
-          ProviderId{static_cast<ProviderId::underlying_type>(q)});
-      if (rep_p.valid() && rep_q.valid()) ++pairs;
-    }
-  }
-  return pairs * legs;
 }
 
 std::vector<PrefKind> Discovery::classify_pair(

@@ -269,9 +269,15 @@ class Discovery {
   [[nodiscard]] std::shared_ptr<const bgp::BaseState> base_for(
       SiteId first) const;
 
-  /// Number of specs the provider-level campaign enumerates (site-level
-  /// ordinals start after them so one FaultPlan timeline spans `run()`).
-  [[nodiscard]] std::size_t provider_level_spec_count() const;
+  /// The provider-level campaign's jobs: one representative pair per
+  /// provider pair (p < q) whose providers both have a representative,
+  /// with the (p, q) table slot each fills.  Site-level ordinals start
+  /// after these jobs' specs so one FaultPlan timeline spans `run()`.
+  struct ProviderJobs {
+    std::vector<PairJob> jobs;
+    std::vector<std::pair<std::size_t, std::size_t>> slots;
+  };
+  [[nodiscard]] ProviderJobs provider_jobs() const;
 
   /// The spec of one experiment leg of a pair measurement.
   [[nodiscard]] measure::ExperimentSpec make_spec(SiteId first, SiteId second,

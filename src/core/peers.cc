@@ -1,6 +1,7 @@
 #include "core/peers.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "measure/campaign_runner.h"
 #include "netbase/rng.h"
@@ -29,59 +30,47 @@ OnePassResult OnePassPeerSelector::run(
                                      .store = options_.store});
   const std::uint64_t baseline_nonce =
       mix64(options_.nonce_base, 0xBA5E11E5ULL);
-  std::vector<measure::Census> censuses;
   // Session flaps rewrite the base schedule itself — no overlay can
   // express them, so flapped campaigns run classic end to end (with
   // classic nonces, bit-identical to a non-incremental selector).
   const bool flaps_planned =
       orchestrator_.faults() != nullptr &&
       !orchestrator_.faults()->flaps().empty();
+  // Incremental: converge the transit-only baseline once with the classic
+  // baseline nonce — the empty-delta overlay over it reproduces the
+  // classic baseline census bit for bit — then fork one overlay per peer,
+  // each propagating only that peer's announcement at the slot the
+  // classic schedule would give it.
+  std::optional<bgp::BaseState> base_state;
   if (options_.incremental && baseline.enabled_peers.empty() &&
       !flaps_planned) {
-    // Incremental: converge the transit-only baseline once with the
-    // classic baseline nonce — the empty-delta overlay over it reproduces
-    // the classic baseline census bit for bit — then fork one overlay per
-    // peer, each propagating only that peer's announcement at the slot
-    // the classic schedule would give it.
-    const bgp::BaseState base =
-        orchestrator_.converge_base(baseline, baseline_nonce);
-    const double peer_t =
-        static_cast<double>(baseline.announce_order.size()) *
-        baseline.spacing_s;
-    // Tagged nonce family: a per-peer overlay draws different jitter
-    // streams than the classic run of the same config, so its census —
-    // and store key — must never collide with a classic campaign's.
-    const std::uint64_t tag =
-        mix64(mix64(options_.nonce_base, 0x1C2E57ULL), 0x9EE2ULL);
-    std::vector<measure::OverlaySpec> specs;
-    specs.reserve(peers.size() + 1);
-    measure::OverlaySpec base_spec;
-    base_spec.base = &base;
-    base_spec.config = baseline;
-    base_spec.nonce = baseline_nonce;
-    specs.push_back(std::move(base_spec));
-    for (const bgp::AttachmentIndex peer : peers) {
-      measure::OverlaySpec spec;
-      spec.base = &base;
-      spec.config = baseline;
-      spec.config.enabled_peers = {peer};
-      spec.delta = {bgp::Injection{peer_t, peer, false}};
-      spec.nonce = mix64(tag, peer);
-      specs.push_back(std::move(spec));
-    }
-    censuses = runner.run_overlays(specs);
-  } else {
-    std::vector<measure::ExperimentSpec> specs;
-    specs.reserve(peers.size() + 1);
-    specs.push_back({baseline, baseline_nonce});
-    for (const bgp::AttachmentIndex peer : peers) {
-      anycast::AnycastConfig cfg = baseline;
-      cfg.enabled_peers = {peer};
-      specs.push_back(
-          {std::move(cfg), mix64(mix64(options_.nonce_base, 0x9EE2ULL), peer)});
-    }
-    censuses = runner.run(specs);
+    base_state.emplace(orchestrator_.converge_base(baseline, baseline_nonce));
   }
+  const bgp::BaseState* shared = base_state ? &*base_state : nullptr;
+  const double peer_t =
+      static_cast<double>(baseline.announce_order.size()) *
+      baseline.spacing_s;
+  // Overlay peers carry a tagged nonce family: a per-peer overlay draws
+  // different jitter streams than the classic run of the same config, so
+  // its census — and store key — must never collide with a classic
+  // campaign's.
+  const std::uint64_t peer_tag = mix64(
+      shared != nullptr ? mix64(options_.nonce_base, 0x1C2E57ULL)
+                        : options_.nonce_base,
+      0x9EE2ULL);
+  std::vector<measure::ExperimentSpec> specs(1);
+  specs.reserve(peers.size() + 1);
+  specs[0].config = baseline;
+  specs[0].nonce = baseline_nonce;
+  specs[0].base = shared;
+  for (const bgp::AttachmentIndex peer : peers) {
+    measure::ExperimentSpec spec = specs[0];
+    spec.config.enabled_peers = {peer};
+    spec.nonce = mix64(peer_tag, peer);
+    if (shared != nullptr) spec.delta = {bgp::Injection{peer_t, peer, false}};
+    specs.push_back(std::move(spec));
+  }
+  const std::vector<measure::Census> censuses = runner.run(specs);
 
   const measure::Census& base = censuses.front();
   // Empty-census contract (see Census::mean_rtt): 0.0 here means "no

@@ -1,5 +1,10 @@
 #include "measure/campaign_runner.h"
 
+#include <array>
+#include <optional>
+#include <tuple>
+#include <utility>
+
 #include "measure/provenance.h"
 #include "measure/store.h"
 #include "netbase/telemetry.h"
@@ -41,203 +46,104 @@ void record_store_hit(std::uint64_t nonce, std::size_t ordinal,
   provenance::FlightLog::global().record(trace);
 }
 
+/// The identity of one census a spec yields: what keys it in the store and
+/// names it in the flight log.
+struct Leg {
+  const anycast::AnycastConfig* config;
+  std::uint64_t nonce;
+  std::size_t ordinal;
+};
+
+std::array<Leg, 1> legs_of(const ExperimentSpec& spec) {
+  return {{{&spec.config, spec.nonce, spec.ordinal}}};
+}
+
+std::array<Leg, 2> legs_of(const OverlayPairSpec& spec) {
+  return {{{&spec.config0, spec.nonce0, spec.ordinal0},
+           {&spec.config1, spec.nonce1, spec.ordinal1}}};
+}
+
+/// Simulates one spec into `out` (one census per leg) through the calling
+/// thread's arena.
+void simulate(const Orchestrator& orchestrator, const ExperimentSpec& spec,
+              std::span<Census> out) {
+  const ExperimentAt at{spec.ordinal, spec.attempt};
+  out[0] = spec.base == nullptr
+               ? orchestrator.measure(spec.config, spec.nonce, at)
+               : orchestrator.measure_overlay(*spec.base, spec.config,
+                                              spec.delta, spec.nonce,
+                                              &Orchestrator::thread_scratch(),
+                                              at);
+}
+
+void simulate(const Orchestrator& orchestrator, const OverlayPairSpec& spec,
+              std::span<Census> out) {
+  Orchestrator::OverlayPairCensus pair = orchestrator.measure_overlay_pair(
+      *spec.base, spec.config0, spec.config1, spec.delta, spec.reage,
+      spec.nonce0, spec.nonce1, &Orchestrator::thread_scratch(),
+      {spec.ordinal0, spec.attempt}, {spec.ordinal1, spec.attempt});
+  out[0] = std::move(pair.leg0);
+  out[1] = std::move(pair.leg1);
+}
+
 }  // namespace
 
 CampaignRunner::CampaignRunner(const Orchestrator& orchestrator,
                                CampaignRunnerOptions options)
-    : orchestrator_(orchestrator),
-      reuse_scratch_(options.reuse_scratch),
-      store_(options.store) {
+    : orchestrator_(orchestrator), store_(options.store) {
   if (options.threads != 1) {
     pool_ = std::make_unique<ThreadPool>(options.threads);
-    if (reuse_scratch_) {
-      worker_scratch_ = std::vector<bgp::SimScratch>(pool_->size());
-    }
   }
 }
 
-std::vector<Census> CampaignRunner::run(
-    std::span<const ExperimentSpec> specs) const {
+template <class Spec>
+std::vector<Census> CampaignRunner::run_batch(
+    std::span<const Spec> specs) const {
+  constexpr std::size_t kLegs =
+      std::tuple_size_v<decltype(legs_of(std::declval<const Spec&>()))>;
   const bool telem = telemetry::enabled();
   telemetry::ScopedTimer batch_span(
       "campaign.batch", "campaign", nullptr,
       telem && telemetry::tracing()
-          ? telemetry::make_args("experiments", specs.size(), "threads",
-                                 threads())
+          ? telemetry::make_args("experiments", specs.size() * kLegs,
+                                 "threads", threads())
           : std::string{});
   if (telem) {
     const CampaignMetrics& m = CampaignMetrics::get();
     m.batches->add(1);
-    m.experiments->add(specs.size());
+    m.experiments->add(specs.size() * kLegs);
   }
+  std::vector<Census> censuses(specs.size() * kLegs);
   const auto measure_one = [&](std::size_t i) {
-    // Store hits replay a persisted census without simulating.  Retried
-    // specs (attempt > 0) never take this path: a retry exists to replace
-    // the stored result, not to re-read it.
-    if (store_ != nullptr && specs[i].attempt == 0) {
-      const double t0_us =
-          provenance::active() ? telemetry::now_us() : 0.0;
-      const std::uint64_t key =
-          ResultStore::census_key(specs[i].config, specs[i].nonce);
-      if (std::optional<Census> cached = store_->find_census(key);
-          cached.has_value()) {
-        if (provenance::active()) {
-          record_store_hit(specs[i].nonce, specs[i].ordinal, *cached, t0_us);
-        }
-        return *std::move(cached);
-      }
-    }
-    telemetry::ScopedTimer span(
-        "campaign.experiment", "campaign",
-        telemetry::enabled() ? CampaignMetrics::get().experiment_ms : nullptr,
-        telemetry::enabled() && telemetry::tracing()
-            ? telemetry::make_args("index", i, "nonce", specs[i].nonce)
-            : std::string{});
-    const ExperimentAt at{specs[i].ordinal, specs[i].attempt};
-    const auto simulate = [&] {
-      if (!reuse_scratch_) {
-        return orchestrator_.measure(specs[i].config, specs[i].nonce, nullptr,
-                                     at);
-      }
-      // Pooled: index the per-worker arena by the executing worker.  Serial
-      // (or any non-worker caller): fall back to the orchestrator's
-      // thread-local scratch.
-      const std::size_t worker = ThreadPool::current_worker();
-      if (worker < worker_scratch_.size()) {
-        return orchestrator_.measure(specs[i].config, specs[i].nonce,
-                                     &worker_scratch_[worker], at);
-      }
-      return orchestrator_.measure(specs[i].config, specs[i].nonce, at);
-    };
-    Census census = simulate();
-    // Flush the moment the experiment finishes: an interrupted campaign
-    // loses at most its in-flight experiments.  A write failure only costs
-    // the checkpoint, never the campaign.
+    const Spec& spec = specs[i];
+    const std::array<Leg, kLegs> legs = legs_of(spec);
+    const std::span<Census> out(censuses.data() + i * kLegs, kLegs);
+    std::array<std::uint64_t, kLegs> keys{};
     if (store_ != nullptr) {
-      const Status flushed = store_->put_census(
-          ResultStore::census_key(specs[i].config, specs[i].nonce), census);
-      (void)flushed;
+      for (std::size_t l = 0; l < kLegs; ++l) {
+        keys[l] = ResultStore::census_key(*legs[l].config, legs[l].nonce);
+      }
     }
-    return census;
-  };
-
-  std::vector<Census> censuses(specs.size());
-  if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      censuses[i] = measure_one(i);
-    }
-    return censuses;
-  }
-  pool_->parallel_for(specs.size(), [&](std::size_t i) {
-    censuses[i] = measure_one(i);
-  });
-  return censuses;
-}
-
-std::vector<Census> CampaignRunner::run_overlays(
-    std::span<const OverlaySpec> specs) const {
-  const bool telem = telemetry::enabled();
-  telemetry::ScopedTimer batch_span(
-      "campaign.batch", "campaign", nullptr,
-      telem && telemetry::tracing()
-          ? telemetry::make_args("experiments", specs.size(), "threads",
-                                 threads())
-          : std::string{});
-  if (telem) {
-    const CampaignMetrics& m = CampaignMetrics::get();
-    m.batches->add(1);
-    m.experiments->add(specs.size());
-  }
-  const auto measure_one = [&](std::size_t i) {
-    const OverlaySpec& spec = specs[i];
-    const std::uint64_t key = ResultStore::census_key(spec.config, spec.nonce);
-    // Same store policy as `run`: replay persisted censuses, never serve a
-    // stored result to a retry.
+    // Store hits replay persisted censuses without simulating.  A spec
+    // simulates as a unit (a pair's leg 1 resumes leg 0's state), so it
+    // replays only when every leg is persisted.  Retried specs
+    // (attempt > 0) never take this path: a retry exists to replace the
+    // stored result, not to re-read it.
     if (store_ != nullptr && spec.attempt == 0) {
       const double t0_us =
           provenance::active() ? telemetry::now_us() : 0.0;
-      if (std::optional<Census> cached = store_->find_census(key);
-          cached.has_value()) {
-        if (provenance::active()) {
-          record_store_hit(spec.nonce, spec.ordinal, *cached, t0_us);
-        }
-        return *std::move(cached);
+      std::size_t found = 0;
+      while (found < kLegs) {
+        std::optional<Census> cached = store_->find_census(keys[found]);
+        if (!cached.has_value()) break;
+        out[found++] = *std::move(cached);
       }
-    }
-    telemetry::ScopedTimer span(
-        "campaign.experiment", "campaign",
-        telemetry::enabled() ? CampaignMetrics::get().experiment_ms : nullptr,
-        telemetry::enabled() && telemetry::tracing()
-            ? telemetry::make_args("index", i, "nonce", spec.nonce)
-            : std::string{});
-    const ExperimentAt at{spec.ordinal, spec.attempt};
-    bgp::SimScratch* scratch = nullptr;
-    if (reuse_scratch_) {
-      const std::size_t worker = ThreadPool::current_worker();
-      if (worker < worker_scratch_.size()) {
-        scratch = &worker_scratch_[worker];
-      } else {
-        thread_local bgp::SimScratch serial_scratch;
-        scratch = &serial_scratch;
-      }
-    }
-    Census census = orchestrator_.measure_overlay(*spec.base, spec.config,
-                                                  spec.delta, spec.nonce,
-                                                  scratch, at);
-    if (store_ != nullptr) {
-      (void)store_->put_census(key, census);
-    }
-    return census;
-  };
-
-  std::vector<Census> censuses(specs.size());
-  if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      censuses[i] = measure_one(i);
-    }
-    return censuses;
-  }
-  pool_->parallel_for(specs.size(), [&](std::size_t i) {
-    censuses[i] = measure_one(i);
-  });
-  return censuses;
-}
-
-std::vector<Census> CampaignRunner::run_overlay_pairs(
-    std::span<const OverlayPairSpec> specs) const {
-  const bool telem = telemetry::enabled();
-  telemetry::ScopedTimer batch_span(
-      "campaign.batch", "campaign", nullptr,
-      telem && telemetry::tracing()
-          ? telemetry::make_args("experiments", specs.size() * 2, "threads",
-                                 threads())
-          : std::string{});
-  if (telem) {
-    const CampaignMetrics& m = CampaignMetrics::get();
-    m.batches->add(1);
-    m.experiments->add(specs.size() * 2);
-  }
-  std::vector<Census> censuses(specs.size() * 2);
-  const auto measure_pair = [&](std::size_t i) {
-    const OverlayPairSpec& spec = specs[i];
-    const std::uint64_t key0 = ResultStore::census_key(spec.config0, spec.nonce0);
-    const std::uint64_t key1 = ResultStore::census_key(spec.config1, spec.nonce1);
-    // The pair simulates as a unit (leg 1 resumes leg 0's state), so the
-    // store shortcut needs BOTH legs persisted; retries (attempt > 0)
-    // always re-run, as in `run`.
-    if (store_ != nullptr && spec.attempt == 0) {
-      const double t0_us =
-          provenance::active() ? telemetry::now_us() : 0.0;
-      std::optional<Census> cached0 = store_->find_census(key0);
-      std::optional<Census> cached1 =
-          cached0.has_value() ? store_->find_census(key1) : std::nullopt;
-      if (cached0.has_value() && cached1.has_value()) {
+      if (found == kLegs) {
         if (provenance::active()) {
-          record_store_hit(spec.nonce0, spec.ordinal0, *cached0, t0_us);
-          record_store_hit(spec.nonce1, spec.ordinal1, *cached1, t0_us);
+          for (std::size_t l = 0; l < kLegs; ++l) {
+            record_store_hit(legs[l].nonce, legs[l].ordinal, out[l], t0_us);
+          }
         }
-        censuses[2 * i] = *std::move(cached0);
-        censuses[2 * i + 1] = *std::move(cached1);
         return;
       }
     }
@@ -245,41 +151,34 @@ std::vector<Census> CampaignRunner::run_overlay_pairs(
         "campaign.experiment", "campaign",
         telemetry::enabled() ? CampaignMetrics::get().experiment_ms : nullptr,
         telemetry::enabled() && telemetry::tracing()
-            ? telemetry::make_args("index", i, "nonce", spec.nonce0)
+            ? telemetry::make_args("index", i, "nonce", legs[0].nonce)
             : std::string{});
-    const ExperimentAt at0{spec.ordinal0, spec.attempt};
-    const ExperimentAt at1{spec.ordinal1, spec.attempt};
-    bgp::SimScratch* scratch = nullptr;
-    if (reuse_scratch_) {
-      const std::size_t worker = ThreadPool::current_worker();
-      if (worker < worker_scratch_.size()) {
-        scratch = &worker_scratch_[worker];
-      } else {
-        // Serial (or any non-worker caller): same thread-local amortization
-        // the orchestrator's plain `measure` path uses.
-        thread_local bgp::SimScratch serial_scratch;
-        scratch = &serial_scratch;
+    simulate(orchestrator_, spec, out);
+    // Flush the moment the experiment finishes: an interrupted campaign
+    // loses at most its in-flight experiments.  A write failure only costs
+    // the checkpoint, never the campaign.
+    if (store_ != nullptr) {
+      for (std::size_t l = 0; l < kLegs; ++l) {
+        (void)store_->put_census(keys[l], out[l]);
       }
     }
-    Orchestrator::OverlayPairCensus pair = orchestrator_.measure_overlay_pair(
-        *spec.base, spec.config0, spec.config1, spec.delta, spec.reage,
-        spec.nonce0, spec.nonce1, scratch, at0, at1);
-    if (store_ != nullptr) {
-      // Same flush-as-you-go policy as `run`; a write failure only costs
-      // the checkpoint.
-      (void)store_->put_census(key0, pair.leg0);
-      (void)store_->put_census(key1, pair.leg1);
-    }
-    censuses[2 * i] = std::move(pair.leg0);
-    censuses[2 * i + 1] = std::move(pair.leg1);
   };
   if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < specs.size(); ++i) measure_pair(i);
-    return censuses;
+    for (std::size_t i = 0; i < specs.size(); ++i) measure_one(i);
+  } else {
+    pool_->parallel_for(specs.size(), measure_one);
   }
-  pool_->parallel_for(specs.size(),
-                      [&](std::size_t i) { measure_pair(i); });
   return censuses;
+}
+
+std::vector<Census> CampaignRunner::run(
+    std::span<const ExperimentSpec> specs) const {
+  return run_batch(specs);
+}
+
+std::vector<Census> CampaignRunner::run_overlay_pairs(
+    std::span<const OverlayPairSpec> specs) const {
+  return run_batch(specs);
 }
 
 }  // namespace anyopt::measure

@@ -29,28 +29,22 @@ namespace anyopt::measure {
 /// locate the experiment inside its campaign so injected failures replay
 /// deterministically; a re-enqueued (retried) spec keeps its nonce — and
 /// therefore its census noise — and bumps only `attempt`.
+///
+/// A spec with a `base` is measured incrementally, as a copy-on-write
+/// overlay that propagates only `delta` over the shared converged base
+/// (see `Orchestrator::measure_overlay`); `config` must still describe the
+/// FULL experiment (base schedule plus delta), because it keys the result
+/// store and drives the fault layer's classic fallback.  A null `base` is
+/// a classic clean-state run.  The base is not owned and must outlive the
+/// batch; many specs may share one base across threads (it is read-only
+/// during overlay runs).
 struct ExperimentSpec {
-  anycast::AnycastConfig config;  ///< what to announce
+  anycast::AnycastConfig config;  ///< what to announce (the full experiment)
   std::uint64_t nonce = 0;        ///< content-derived jitter/noise identity
   std::size_t ordinal = 0;        ///< campaign position, for the fault layer
   std::uint32_t attempt = 0;      ///< retry attempt, 0 = first run
-};
-
-/// \brief One experiment expressed incrementally: a shared converged base
-///        plus the announcement delta that turns it into the experiment.
-///
-/// `config` must describe the FULL experiment (base schedule plus delta):
-/// it keys the result store and drives the fault layer's classic fallback
-/// (see `Orchestrator::measure_overlay`).  The base is not owned and must
-/// outlive the batch; many specs may share one base across threads (it is
-/// read-only during overlay runs).
-struct OverlaySpec {
-  const bgp::BaseState* base = nullptr;  ///< shared converged base
-  anycast::AnycastConfig config;         ///< the full experiment's config
+  const bgp::BaseState* base = nullptr;  ///< shared base; nullptr = classic
   std::vector<bgp::Injection> delta;     ///< events beyond the base schedule
-  std::uint64_t nonce = 0;               ///< jitter/noise identity
-  std::size_t ordinal = 0;               ///< campaign position (fault layer)
-  std::uint32_t attempt = 0;             ///< retry attempt, 0 = first run
 };
 
 /// \brief One pairwise order experiment expressed incrementally: a shared
@@ -85,10 +79,6 @@ struct CampaignRunnerOptions {
   /// Worker threads; 1 = run serially on the calling thread (no pool),
   /// 0 = hardware concurrency.
   std::size_t threads = 1;
-  /// Keep one `bgp::SimScratch` per pool worker so consecutive experiments
-  /// on a worker recycle simulator allocations.  Never changes results;
-  /// disable to force fresh allocations per experiment.
-  bool reuse_scratch = true;
   /// Optional persistent result store (checkpoint/resume and warm starts).
   /// Each spec is looked up by `ResultStore::census_key` before running —
   /// a hit replays the persisted census without simulating — and every
@@ -103,39 +93,29 @@ struct CampaignRunnerOptions {
 /// \brief Fans a batch of independent experiments over a worker pool.
 ///
 /// Results are returned in spec order and are bit-identical to the serial
-/// path regardless of thread count or completion order.
+/// path regardless of thread count or completion order.  Every experiment
+/// runs through the executing thread's one simulator arena
+/// (`Orchestrator::thread_scratch`), whatever kind of census it is.
 class CampaignRunner {
  public:
   /// \brief Builds a runner over an orchestrator.
   /// \param orchestrator the measurement engine (must outlive the runner).
-  /// \param options worker count and scratch policy.
+  /// \param options worker count and result store.
   explicit CampaignRunner(const Orchestrator& orchestrator,
                           CampaignRunnerOptions options = {});
 
-  /// \brief Measures every spec.
+  /// \brief Measures every spec: classic runs, and overlays for specs that
+  ///        carry a base.
   /// \param specs the batch of experiments to run.
   /// \return one census per spec, in spec order.
   [[nodiscard]] std::vector<Census> run(
       std::span<const ExperimentSpec> specs) const;
 
-  /// \brief Measures every overlay spec (incremental re-convergence).
-  ///
-  /// Fans out over the worker pool exactly like `run`; each worker forks a
-  /// read-only overlay off the spec's shared base.  Store policy matches
-  /// `run`: persisted censuses replay without simulating, fresh censuses
-  /// flush as they complete, retries always re-run.
-  /// \param specs the batch of overlay experiments.
-  /// \return one census per spec, in spec order.
-  [[nodiscard]] std::vector<Census> run_overlays(
-      std::span<const OverlaySpec> specs) const;
-
   /// \brief Measures every overlay pair (incremental re-convergence).
   ///
-  /// Pairs fan out over the worker pool exactly like `run`; each worker
-  /// forks read-only overlays off the specs' shared bases.  Store policy
-  /// matches `run`: a pair whose BOTH legs are persisted replays without
-  /// simulating (a pair simulates as a unit — leg 1 resumes leg 0), and
-  /// every freshly measured leg is flushed as it completes.
+  /// Same batch loop and store policy as `run`, with the pair as the unit:
+  /// a pair simulates as one (leg 1 resumes leg 0), so it replays from the
+  /// store only when BOTH legs are persisted.
   /// \param specs the batch of overlay pairs.
   /// \return two censuses per spec, in spec order: [leg0 of spec 0, leg1 of
   ///         spec 0, leg0 of spec 1, ...].
@@ -155,18 +135,21 @@ class CampaignRunner {
   }
 
  private:
+  /// The one batch loop behind `run` and `run_overlay_pairs`.  Each spec
+  /// is a unit that simulates as one and yields a fixed number of censuses
+  /// (its legs).  The loop owns the batch span and counters, serial vs pool
+  /// dispatch, store replay (all legs persisted and `attempt == 0`) with
+  /// its `store-hit` provenance lines, and the flush of every census as it
+  /// completes.
+  template <class Spec>
+  [[nodiscard]] std::vector<Census> run_batch(
+      std::span<const Spec> specs) const;
+
   const Orchestrator& orchestrator_;
-  bool reuse_scratch_ = true;
   ResultStore* store_ = nullptr;
   // The pool is internally synchronized; dispatching through it from a
   // const `run` leaves the runner's observable state untouched.
   std::unique_ptr<ThreadPool> pool_;
-  // One allocation arena per pool worker (empty when serial — the serial
-  // path uses the orchestrator's thread-local scratch).  Mutable for the
-  // same reason the pool dispatch is const: recycled buffers are invisible
-  // to callers, results are bit-identical with or without them.  Each arena
-  // is touched only by its own worker thread, so no locking is needed.
-  mutable std::vector<bgp::SimScratch> worker_scratch_;
 };
 
 }  // namespace anyopt::measure

@@ -60,6 +60,17 @@ struct FaultMetrics {
   }
 };
 
+/// The `measure.census` span every census path times itself with.
+telemetry::ScopedTimer census_span(std::uint64_t experiment_nonce) {
+  const bool telem = telemetry::enabled();
+  return telemetry::ScopedTimer(
+      "measure.census", "measure",
+      telem ? CensusMetrics::get().census_ms : nullptr,
+      telem && telemetry::tracing()
+          ? telemetry::make_args("nonce", experiment_nonce)
+          : std::string{});
+}
+
 }  // namespace
 
 std::size_t Census::reachable_count() const {
@@ -134,69 +145,64 @@ double Orchestrator::tunnel_rtt_ms(SiteId site) const {
 }
 
 Census Orchestrator::measure(const anycast::AnycastConfig& config,
-                             std::uint64_t experiment_nonce) const {
-  return measure(config, experiment_nonce, ExperimentAt{});
-}
-
-Census Orchestrator::measure(const anycast::AnycastConfig& config,
                              std::uint64_t experiment_nonce,
                              ExperimentAt at) const {
-  if (!options_.reuse_scratch) {
-    return measure(config, experiment_nonce, nullptr, at);
-  }
-  // One scratch per thread: `measure` is const and may be called from
+  return measure(config, experiment_nonce, &thread_scratch(), at);
+}
+
+bgp::SimScratch& Orchestrator::thread_scratch() {
+  // One arena per thread: `measure` is const and may be called from
   // several campaign workers at once, but each call runs on one thread and
   // consecutive censuses on that thread recycle the same buffers.
   thread_local bgp::SimScratch scratch;
-  return measure(config, experiment_nonce, &scratch, at);
+  return scratch;
 }
 
-Census Orchestrator::measure(const anycast::AnycastConfig& config,
-                             std::uint64_t experiment_nonce,
-                             bgp::SimScratch* scratch) const {
-  return measure(config, experiment_nonce, scratch, ExperimentAt{});
+Orchestrator::Round Orchestrator::begin_round(std::uint64_t experiment_nonce,
+                                              ExperimentAt at,
+                                              const char* path) const {
+  Round round;
+  round.tracing = provenance::active();
+  round.t0_us = round.tracing ? telemetry::now_us() : 0.0;
+  round.trace.nonce = experiment_nonce;
+  round.trace.ordinal = at.ordinal;
+  round.trace.attempt = at.attempt;
+  round.trace.path = path;
+  // --- Fault layer (off when no injector is configured). ---
+  const fault::FaultInjector* faults = options_.faults;
+  if (faults == nullptr) return round;
+  round.faults = faults->round(at.ordinal, at.attempt);
+  round.trace.degraded = round.faults.degraded;
+  round.trace.storm = round.faults.extra_loss_rate > 0.0;
+  if (round.faults.fail_round) {
+    // The whole round is lost (orchestrator outage / withdrawn
+    // measurement prefix): an entirely empty census, the same shape an
+    // unreachable deployment produces.  Callers detect it via
+    // reachable_count() == 0 and may re-enqueue with attempt + 1.
+    if (telemetry::enabled()) FaultMetrics::get().round_failures->add(1);
+    round.trace.round_failed = true;
+    round.trace.targets = world_.targets().size();
+    end_round(round);
+  }
+  return round;
+}
+
+void Orchestrator::end_round(Round& round) {
+  if (!round.tracing) return;
+  round.trace.duration_ms = (telemetry::now_us() - round.t0_us) / 1e3;
+  provenance::FlightLog::global().record(round.trace);
 }
 
 Census Orchestrator::measure(const anycast::AnycastConfig& config,
                              std::uint64_t experiment_nonce,
                              bgp::SimScratch* scratch, ExperimentAt at) const {
-  const bool telem = telemetry::enabled();
-  const bool tracing = provenance::active();
-  const double t0_us = tracing ? telemetry::now_us() : 0.0;
-  provenance::ExperimentTrace trace;
-  trace.nonce = experiment_nonce;
-  trace.ordinal = at.ordinal;
-  trace.attempt = at.attempt;
-  trace.path = "classic";
-  telemetry::ScopedTimer span(
-      "measure.census", "measure",
-      telem ? CensusMetrics::get().census_ms : nullptr,
-      telem && telemetry::tracing()
-          ? telemetry::make_args("nonce", experiment_nonce)
-          : std::string{});
-  // --- Fault layer (off when no injector is configured). ---
-  const fault::FaultInjector* faults = options_.faults;
-  fault::RoundFaults round_faults;
-  if (faults != nullptr) {
-    round_faults = faults->round(at.ordinal, at.attempt);
-    if (round_faults.fail_round) {
-      // The whole round is lost (orchestrator outage / withdrawn
-      // measurement prefix): an entirely empty census, the same shape an
-      // unreachable deployment produces.  Callers detect it via
-      // reachable_count() == 0 and may re-enqueue with attempt + 1.
-      if (telem) FaultMetrics::get().round_failures->add(1);
-      if (tracing) {
-        trace.round_failed = true;
-        trace.targets = world_.targets().size();
-        trace.duration_ms = (telemetry::now_us() - t0_us) / 1e3;
-        provenance::FlightLog::global().record(trace);
-      }
-      return empty_census();
-    }
-  }
+  const telemetry::ScopedTimer span = census_span(experiment_nonce);
+  Round round = begin_round(experiment_nonce, at, "classic");
+  if (round.faults.fail_round) return empty_census();
 
   auto schedule = config.schedule(world_.deployment());
-  if (faults != nullptr) {
+  if (const fault::FaultInjector* faults = options_.faults; faults != nullptr) {
+    const bool telem = telemetry::enabled();
     // Hard site failures: a failed site's announcement never happens.
     std::size_t suppressed = 0;
     std::erase_if(schedule, [&](const bgp::Injection& inj) {
@@ -217,26 +223,21 @@ Census Orchestrator::measure(const anycast::AnycastConfig& config,
       if (telem && flap_events != 0) {
         FaultMetrics::get().flaps->add(flap_events);
       }
-      trace.flap_events = flap_events;
+      round.trace.flap_events = flap_events;
     }
     if (telem) {
       const FaultMetrics& m = FaultMetrics::get();
       if (suppressed != 0) m.announce_suppressed->add(suppressed);
-      if (round_faults.degraded) m.degraded_rounds->add(1);
-      if (round_faults.extra_loss_rate > 0.0) m.storm_rounds->add(1);
+      if (round.faults.degraded) m.degraded_rounds->add(1);
+      if (round.faults.extra_loss_rate > 0.0) m.storm_rounds->add(1);
     }
-    trace.announce_suppressed = suppressed;
-    trace.degraded = round_faults.degraded;
-    trace.storm = round_faults.extra_loss_rate > 0.0;
+    round.trace.announce_suppressed = suppressed;
   }
   bgp::RoutingState state =
       world_.simulator().run(schedule, experiment_nonce, scratch);
-  Census census = census_from_state(state, experiment_nonce, round_faults, at,
-                                    tracing ? &trace : nullptr, scratch);
-  if (tracing) {
-    trace.duration_ms = (telemetry::now_us() - t0_us) / 1e3;
-    provenance::FlightLog::global().record(trace);
-  }
+  Census census = census_from_state(state, experiment_nonce, round.faults, at,
+                                    round.sink(), scratch);
+  end_round(round);
   return census;
 }
 
@@ -460,48 +461,17 @@ Census Orchestrator::measure_overlay(const bgp::BaseState& base,
     // "classic"), which is exactly the truth of what ran.
     return measure(config, experiment_nonce, scratch, at);
   }
-  const bool telem = telemetry::enabled();
-  const bool tracing = provenance::active();
-  const double t0_us = tracing ? telemetry::now_us() : 0.0;
-  provenance::ExperimentTrace trace;
-  trace.nonce = experiment_nonce;
-  trace.ordinal = at.ordinal;
-  trace.attempt = at.attempt;
-  trace.path = "overlay";
-  const fault::FaultInjector* faults = options_.faults;
-  fault::RoundFaults round_faults;
-  if (faults != nullptr) {
-    round_faults = faults->round(at.ordinal, at.attempt);
-    if (round_faults.fail_round) {
-      if (telem) FaultMetrics::get().round_failures->add(1);
-      if (tracing) {
-        trace.round_failed = true;
-        trace.targets = world_.targets().size();
-        trace.duration_ms = (telemetry::now_us() - t0_us) / 1e3;
-        provenance::FlightLog::global().record(trace);
-      }
-      return empty_census();
-    }
-    trace.degraded = round_faults.degraded;
-    trace.storm = round_faults.extra_loss_rate > 0.0;
-  }
-  telemetry::ScopedTimer span(
-      "measure.census", "measure",
-      telem ? CensusMetrics::get().census_ms : nullptr,
-      telem && telemetry::tracing()
-          ? telemetry::make_args("nonce", experiment_nonce)
-          : std::string{});
+  Round round = begin_round(experiment_nonce, at, "overlay");
+  if (round.faults.fail_round) return empty_census();
+  const telemetry::ScopedTimer span = census_span(experiment_nonce);
   bgp::RoutingState state =
       world_.simulator().run_overlay(base, delta, experiment_nonce, scratch);
   // Captured here, not inside census_from_state: the census pass may
   // consume the state (arena recycle) before returning.
   if (sim_events != nullptr) *sim_events = state.events_processed();
-  Census census = census_from_state(state, experiment_nonce, round_faults, at,
-                                    tracing ? &trace : nullptr, scratch);
-  if (tracing) {
-    trace.duration_ms = (telemetry::now_us() - t0_us) / 1e3;
-    provenance::FlightLog::global().record(trace);
-  }
+  Census census = census_from_state(state, experiment_nonce, round.faults, at,
+                                    round.sink(), scratch);
+  end_round(round);
   return census;
 }
 
@@ -512,8 +482,6 @@ Orchestrator::OverlayPairCensus Orchestrator::measure_overlay_pair(
     std::span<const bgp::AttachmentIndex> reage, std::uint64_t nonce0,
     std::uint64_t nonce1, bgp::SimScratch* scratch, ExperimentAt at0,
     ExperimentAt at1) const {
-  const bool telem = telemetry::enabled();
-  const fault::FaultInjector* faults = options_.faults;
   OverlayPairCensus out;
   if (schedule_faults_apply(config0, at0.ordinal) ||
       schedule_faults_apply(config1, at1.ordinal)) {
@@ -524,83 +492,38 @@ Orchestrator::OverlayPairCensus Orchestrator::measure_overlay_pair(
     out.leg1 = measure(config1, nonce1, scratch, at1);
     return out;
   }
-  fault::RoundFaults rf0;
-  fault::RoundFaults rf1;
-  if (faults != nullptr) {
-    rf0 = faults->round(at0.ordinal, at0.attempt);
-    rf1 = faults->round(at1.ordinal, at1.attempt);
-  }
-  const bool tracing = provenance::active();
-  provenance::ExperimentTrace tr0;
-  tr0.nonce = nonce0;
-  tr0.ordinal = at0.ordinal;
-  tr0.attempt = at0.attempt;
-  tr0.path = "overlay";
-  tr0.degraded = rf0.degraded;
-  tr0.storm = rf0.extra_loss_rate > 0.0;
-  provenance::ExperimentTrace tr1;
-  tr1.nonce = nonce1;
-  tr1.ordinal = at1.ordinal;
-  tr1.attempt = at1.attempt;
-  tr1.path = "overlay-resume";
-  tr1.degraded = rf1.degraded;
-  tr1.storm = rf1.extra_loss_rate > 0.0;
+  // A failed round loses the CENSUS, not the announcements: leg 0's routes
+  // still converge (leg 1 resumes that state normally), the measurement
+  // round just comes back empty.  A later retry of the pair therefore
+  // reproduces the fault-free legs bit for bit.
+  Round round0 = begin_round(nonce0, at0, "overlay");
+  bgp::RoutingState leg0;
   {
-    const double t0_us = tracing ? telemetry::now_us() : 0.0;
-    telemetry::ScopedTimer span(
-        "measure.census", "measure",
-        telem ? CensusMetrics::get().census_ms : nullptr,
-        telem && telemetry::tracing() ? telemetry::make_args("nonce", nonce0)
-                                      : std::string{});
-    bgp::RoutingState leg0 = world_.simulator().run_overlay(
-        base, delta, nonce0, scratch, {}, /*keep_continuation=*/true);
-    if (rf0.fail_round) {
-      // A failed round loses the CENSUS, not the announcements: leg 0's
-      // routes still converged (leg 1 resumes that state normally), the
-      // measurement round just came back empty.  A later retry of the
-      // pair therefore reproduces the fault-free legs bit for bit.
-      if (telem) FaultMetrics::get().round_failures->add(1);
+    const telemetry::ScopedTimer span = census_span(nonce0);
+    leg0 = world_.simulator().run_overlay(base, delta, nonce0, scratch, {},
+                                          /*keep_continuation=*/true);
+    if (round0.faults.fail_round) {
       out.leg0 = empty_census();
-      tr0.round_failed = true;
-      tr0.targets = world_.targets().size();
     } else {
       // No scratch: leg 0's state must survive the census — leg 1 resumes
       // it below.
-      out.leg0 = census_from_state(leg0, nonce0, rf0, at0,
-                                   tracing ? &tr0 : nullptr, nullptr);
-    }
-    span.finish();
-    if (tracing) {
-      tr0.duration_ms = (telemetry::now_us() - t0_us) / 1e3;
-      provenance::FlightLog::global().record(tr0);
-    }
-    const double t1_us = tracing ? telemetry::now_us() : 0.0;
-    if (rf1.fail_round) {
-      if (telem) FaultMetrics::get().round_failures->add(1);
-      out.leg1 = empty_census();
-      if (scratch != nullptr) scratch->recycle(std::move(leg0));
-      if (tracing) {
-        tr1.round_failed = true;
-        tr1.targets = world_.targets().size();
-        tr1.duration_ms = (telemetry::now_us() - t1_us) / 1e3;
-        provenance::FlightLog::global().record(tr1);
-      }
-      return out;
-    }
-    telemetry::ScopedTimer span1(
-        "measure.census", "measure",
-        telem ? CensusMetrics::get().census_ms : nullptr,
-        telem && telemetry::tracing() ? telemetry::make_args("nonce", nonce1)
-                                      : std::string{});
-    bgp::RoutingState leg1 = world_.simulator().resume_overlay(
-        std::move(leg0), {}, nonce1, scratch, reage);
-    out.leg1 = census_from_state(leg1, nonce1, rf1, at1,
-                                 tracing ? &tr1 : nullptr, scratch);
-    if (tracing) {
-      tr1.duration_ms = (telemetry::now_us() - t1_us) / 1e3;
-      provenance::FlightLog::global().record(tr1);
+      out.leg0 = census_from_state(leg0, nonce0, round0.faults, at0,
+                                   round0.sink(), nullptr);
+      end_round(round0);
     }
   }
+  Round round1 = begin_round(nonce1, at1, "overlay-resume");
+  if (round1.faults.fail_round) {
+    out.leg1 = empty_census();
+    if (scratch != nullptr) scratch->recycle(std::move(leg0));
+    return out;
+  }
+  const telemetry::ScopedTimer span = census_span(nonce1);
+  bgp::RoutingState leg1 = world_.simulator().resume_overlay(
+      std::move(leg0), {}, nonce1, scratch, reage);
+  out.leg1 = census_from_state(leg1, nonce1, round1.faults, at1,
+                               round1.sink(), scratch);
+  end_round(round1);
   return out;
 }
 

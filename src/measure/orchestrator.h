@@ -35,12 +35,6 @@ struct OrchestratorOptions {
   geo::Coordinates location{42.373, -71.110};
   ProbeModel probe;              ///< probe-channel noise & retry model
   std::uint64_t seed = 0x0BC;    ///< root of every census noise stream
-  /// Amortize simulator allocations across censuses: `measure()` without an
-  /// explicit scratch borrows a thread-local `bgp::SimScratch` so repeated
-  /// experiments reuse RIB/event-queue storage.  Results are bit-identical
-  /// either way; disable to force fresh allocations per census (used by the
-  /// cache-invariance suite).
-  bool reuse_scratch = true;
   /// Fault injector shared by every census (not owned; must outlive the
   /// orchestrator).  nullptr — the default — disables the fault layer
   /// entirely and leaves every measurement bit-identical to a build
@@ -120,41 +114,25 @@ class Orchestrator {
 
   /// \brief Deploys `config` (full announcement schedule, §2.3) and
   ///        measures each site's catchment and each target's RTT.
+  ///
+  /// Runs the BGP experiment through this thread's arena
+  /// (`thread_scratch()`), so consecutive censuses on a thread recycle
+  /// simulator allocations.
   /// \param config the anycast configuration to announce.
   /// \param experiment_nonce individualizes BGP jitter and probe noise:
   ///        re-running with a different nonce is a fresh real-world
   ///        experiment; the same nonce reproduces the census bit for bit.
+  /// \param at the census's campaign ordinal and retry attempt (see the
+  ///        explicit-scratch overload).
   /// \return the census (one catchment + RTT row per target).
   [[nodiscard]] Census measure(const anycast::AnycastConfig& config,
-                               std::uint64_t experiment_nonce) const;
-
-  /// \brief Like the two-argument overload (same scratch policy), with
-  ///        fault-plan coordinates for the fault layer.
-  /// \param config the anycast configuration to announce.
-  /// \param experiment_nonce see the two-argument overload.
-  /// \param at the census's campaign ordinal and retry attempt.
-  /// \return the census.
-  [[nodiscard]] Census measure(const anycast::AnycastConfig& config,
                                std::uint64_t experiment_nonce,
-                               ExperimentAt at) const;
+                               ExperimentAt at = {}) const;
 
-  /// \brief Like the two-argument overload, but runs the BGP experiment
-  ///        through an explicit allocation scratch (see `bgp::SimScratch`)
-  ///        instead of the thread-local default.
-  ///
-  /// `CampaignRunner` passes its per-worker scratch here; `nullptr`
-  /// disables amortization for this census.  Results are bit-identical
-  /// across all variants.
-  /// \param config the anycast configuration to announce.
-  /// \param experiment_nonce see the two-argument overload.
-  /// \param scratch recycled simulator buffers, or nullptr for none.
-  /// \return the census.
-  [[nodiscard]] Census measure(const anycast::AnycastConfig& config,
-                               std::uint64_t experiment_nonce,
-                               bgp::SimScratch* scratch) const;
-
-  /// \brief Full overload: additionally locates the census inside its
-  ///        campaign for the fault layer.
+  /// \brief Like the overload above, but runs the BGP experiment through
+  ///        an explicit allocation scratch (see `bgp::SimScratch`);
+  ///        `nullptr` disables amortization for this census.  Results are
+  ///        bit-identical either way.
   ///
   /// When `OrchestratorOptions::faults` is set, the injector's decisions
   /// for (`at.ordinal`, `at.attempt`) apply to this census: the round can
@@ -163,14 +141,23 @@ class Orchestrator {
   /// session flaps, or probed under a loss storm.  With no injector the
   /// coordinates are ignored.
   /// \param config the anycast configuration to announce.
-  /// \param experiment_nonce see the two-argument overload.
+  /// \param experiment_nonce see the overload above.
   /// \param scratch recycled simulator buffers, or nullptr for none.
   /// \param at the census's campaign ordinal and retry attempt.
   /// \return the census (empty when the fault layer killed the round).
   [[nodiscard]] Census measure(const anycast::AnycastConfig& config,
                                std::uint64_t experiment_nonce,
                                bgp::SimScratch* scratch,
-                               ExperimentAt at) const;
+                               ExperimentAt at = {}) const;
+
+  /// \brief The calling thread's simulator arena: the one every
+  ///        default-path census on this thread recycles.
+  ///
+  /// Callers that must pass a scratch explicitly (the campaign runner's
+  /// overlay specs and pairs, the agility engine) pass this one, so a
+  /// thread parks a single arena whatever kinds of census it runs.
+  /// \return this thread's arena (lives until the thread exits).
+  [[nodiscard]] static bgp::SimScratch& thread_scratch();
 
   /// \brief Converges `config`'s announcement schedule once into a
   ///        campaign-shared base state (incremental re-convergence).
@@ -291,6 +278,26 @@ class Orchestrator {
   }
 
  private:
+  /// One census's provenance line and fault-layer decisions: the state of
+  /// the round prologue and epilogue every measurement path shares.
+  struct Round {
+    provenance::ExperimentTrace trace;
+    fault::RoundFaults faults;
+    bool tracing = false;  ///< provenance was on when the round began
+    double t0_us = 0.0;    ///< round start, for the provenance duration
+    /// The trace a census pass fills, or nullptr when provenance is off.
+    [[nodiscard]] provenance::ExperimentTrace* sink() {
+      return tracing ? &trace : nullptr;
+    }
+  };
+  /// The round prologue: starts the provenance trace (identity and `path`)
+  /// and rolls the fault layer's decisions for `at`.  When the fault layer
+  /// kills the round (`faults.fail_round`), the loss is already counted and
+  /// its provenance line recorded; the round's census is `empty_census()`.
+  [[nodiscard]] Round begin_round(std::uint64_t experiment_nonce,
+                                  ExperimentAt at, const char* path) const;
+  /// The round epilogue: records the round's duration and provenance line.
+  static void end_round(Round& round);
   /// An all-unreachable census in the world's target shape.
   [[nodiscard]] Census empty_census() const;
   /// Passes 1+2 over an already converged state: freeze it into a

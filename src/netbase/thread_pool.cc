@@ -31,16 +31,7 @@ struct PoolMetrics {
   }
 };
 
-/// Worker identity for `ThreadPool::current_worker()`.  Workers set it once
-/// at loop entry; it never changes for the thread's lifetime, and threads
-/// outside any pool keep the default.
-thread_local std::size_t current_worker_index = ThreadPool::kNotAWorker;
-
 }  // namespace
-
-std::size_t ThreadPool::current_worker() noexcept {
-  return current_worker_index;
-}
 
 double ThreadPool::enqueue_stamp_us() {
   return telemetry::enabled() ? telemetry::now_us() : -1.0;
@@ -66,10 +57,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] {
-      current_worker_index = i;
-      worker_loop();
-    });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 

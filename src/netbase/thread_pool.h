@@ -44,14 +44,6 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Returned by `current_worker()` on threads that are not pool workers.
-  static constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);
-
-  /// Index of the calling pool worker in [0, size()), or `kNotAWorker` when
-  /// called from any other thread.  Lets per-worker resources (e.g. the
-  /// campaign runner's `SimScratch` arenas) be indexed without locks.
-  [[nodiscard]] static std::size_t current_worker() noexcept;
-
   /// Enqueues `task`; the returned future delivers its result, or rethrows
   /// the exception it exited with.
   template <class F>

@@ -127,4 +127,33 @@ std::vector<AsId> AsGraph::customer_cone(AsId as) const {
   return cone;
 }
 
+bool AsGraph::customer_cone_exceeds(AsId as, std::size_t limit) const {
+  // Generation-stamped visit marks: a call marks only the ASes it visits
+  // and never clears the buffer (a new generation retires every old mark).
+  thread_local std::vector<std::uint32_t> mark;
+  thread_local std::uint32_t generation = 0;
+  thread_local std::vector<AsId> visited;  // BFS order; doubles as the queue
+  if (mark.size() < nodes_.size()) mark.resize(nodes_.size(), 0);
+  if (++generation == 0) {  // wrapped: no stale mark may equal a live one
+    std::fill(mark.begin(), mark.end(), 0);
+    generation = 1;
+  }
+  visited.clear();
+  mark[as.value()] = generation;
+  visited.push_back(as);
+  for (std::size_t head = 0; head < visited.size() && visited.size() <= limit;
+       ++head) {
+    for (const Neighbor& n : nodes_[visited[head].value()].neighbors) {
+      if (n.relation != Relation::kCustomer ||
+          mark[n.as.value()] == generation) {
+        continue;
+      }
+      mark[n.as.value()] = generation;
+      visited.push_back(n.as);
+      if (visited.size() > limit) return true;
+    }
+  }
+  return visited.size() > limit;
+}
+
 }  // namespace anyopt::topo

@@ -111,6 +111,12 @@ class AsGraph {
   /// reachable by repeatedly descending provider→customer edges.
   [[nodiscard]] std::vector<AsId> customer_cone(AsId as) const;
 
+  /// Equals `customer_cone(as).size() > limit`, but the search stops once
+  /// the cone holds `limit + 1` ASes and its visit marks are reused across
+  /// calls on a thread, so a call costs O(min(cone, limit + 1)) ASes, not
+  /// an AS-count buffer.
+  [[nodiscard]] bool customer_cone_exceeds(AsId as, std::size_t limit) const;
+
  private:
   std::vector<AsNode> nodes_;
   std::vector<AsLink> links_;

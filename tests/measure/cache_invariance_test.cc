@@ -1,12 +1,13 @@
 // Amortization invariance: the census walk cache in
 // `bgp::CompactState::resolve` and the SimScratch allocation reuse must not
-// change a single measured bit.  The baseline takes the production
+// change a single measured bit.  The reference takes the production
 // degradation rung instead of a test-only switch: its runs happen under a
 // memory budget the process is always over (`--mem-budget-mb`), so every
-// census freezes with no walk cache at all, and its orchestrator reuses
-// no scratch.  Censuses and preference tables must be byte-identical to
-// the amortized defaults across every thread count, and `explain()` must
-// agree with the census resolve it diagnoses.
+// census freezes with no walk cache at all, and its censuses are measured
+// one by one with no scratch (`measure(..., nullptr, at)`).  Censuses and
+// preference tables must be byte-identical to the amortized defaults
+// across every thread count, and `explain()` must agree with the census
+// resolve it diagnoses.
 
 #include <gtest/gtest.h>
 
@@ -29,20 +30,16 @@ namespace {
 
 struct Env {
   std::unique_ptr<anycast::World> world;
-  std::unique_ptr<Orchestrator> amortized;  ///< the defaults
-  std::unique_ptr<Orchestrator> baseline;   ///< no scratch reuse
+  std::unique_ptr<Orchestrator> orchestrator;
 };
 
-/// Shared world (building one costs seconds) and the two orchestrators
-/// every test in this binary compares.
+/// Shared world (building one costs seconds) and the orchestrator every
+/// test in this binary measures with.
 Env& env() {
   static Env e = [] {
     Env out;
     out.world = anycast::World::create(anycast::WorldParams::test_scale(21));
-    out.amortized = std::make_unique<Orchestrator>(*out.world);
-    OrchestratorOptions options;
-    options.reuse_scratch = false;
-    out.baseline = std::make_unique<Orchestrator>(*out.world, options);
+    out.orchestrator = std::make_unique<Orchestrator>(*out.world);
     return out;
   }();
   return e;
@@ -55,7 +52,7 @@ class OverBudget {
  public:
   OverBudget() {
     resmon::set_mem_budget_bytes(1);
-    // Without this the baseline could silently run the cached path.
+    // Without this the reference could silently run the cached path.
     EXPECT_TRUE(resmon::over_mem_budget());
   }
   ~OverBudget() { resmon::set_mem_budget_bytes(0); }
@@ -91,6 +88,19 @@ std::vector<ExperimentSpec> campaign_specs(const anycast::Deployment& depl) {
   return specs;
 }
 
+/// The reference censuses: a direct loop with no scratch arena, under the
+/// 1-byte budget, so nothing is cached or recycled.
+std::vector<Census> reference_censuses(const std::vector<ExperimentSpec>& specs) {
+  const OverBudget budget;
+  std::vector<Census> out;
+  for (const ExperimentSpec& spec : specs) {
+    out.push_back(env().orchestrator->measure(spec.config, spec.nonce,
+                                              /*scratch=*/nullptr,
+                                              {spec.ordinal, spec.attempt}));
+  }
+  return out;
+}
+
 void expect_censuses_identical(const std::vector<Census>& a,
                                const std::vector<Census>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -109,19 +119,12 @@ void expect_censuses_identical(const std::vector<Census>& a,
 
 TEST_F(CacheInvarianceTest, CensusesBitIdenticalAcrossThreadCounts) {
   const auto specs = campaign_specs(env().world->deployment());
-  CampaignRunnerOptions off_options;
-  off_options.threads = 1;
-  off_options.reuse_scratch = false;
-  const CampaignRunner reference(*env().baseline, off_options);
-  const std::vector<Census> want = [&] {
-    const OverBudget budget;
-    return reference.run(specs);
-  }();
+  const std::vector<Census> want = reference_censuses(specs);
 
   for (const std::size_t threads : {1u, 2u, 4u}) {
     CampaignRunnerOptions options;
     options.threads = threads;
-    const CampaignRunner runner(*env().amortized, options);
+    const CampaignRunner runner(*env().orchestrator, options);
     const std::vector<Census> got = runner.run(specs);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_censuses_identical(want, got);
@@ -131,8 +134,10 @@ TEST_F(CacheInvarianceTest, CensusesBitIdenticalAcrossThreadCounts) {
 TEST_F(CacheInvarianceTest, DiscoveryTablesBitIdentical) {
   core::DiscoveryOptions options;
   options.threads = 2;
-  const core::Discovery cached(*env().amortized, options);
-  const core::Discovery uncached(*env().baseline, options);
+  // Same orchestrator; `uncached` runs under the budget, so none of its
+  // censuses holds a walk cache or parks an arena.
+  const core::Discovery cached(*env().orchestrator, options);
+  const core::Discovery uncached(*env().orchestrator, options);
 
   const core::DiscoveryResult a = cached.run();
   const core::DiscoveryResult b = [&] {
@@ -187,12 +192,12 @@ TEST_F(CacheInvarianceTest, ExplainAgreesWithCompactResolve) {
 TEST_F(CacheInvarianceTest, AmortizationActuallyEngages) {
   // Guard against the invariance suite passing vacuously: with telemetry
   // on, the amortized configuration must record cache hits and scratch
-  // reuse, and the over-budget baseline must record neither.
+  // reuse, and the over-budget, arena-free reference must record neither.
   telemetry::set_enabled(true);
   auto& reg = telemetry::Registry::global();
 
   const auto specs = campaign_specs(env().world->deployment());
-  const CampaignRunner runner(*env().amortized, {.threads = 1});
+  const CampaignRunner runner(*env().orchestrator, {.threads = 1});
   (void)runner.run(specs);
 
   EXPECT_GT(reg.counter_value("bgp.resolve.cache_hit"), 0u);
@@ -200,14 +205,7 @@ TEST_F(CacheInvarianceTest, AmortizationActuallyEngages) {
   EXPECT_GT(reg.gauge_max("bytes.resolve_cache"), 0);
 
   reg.reset();
-  CampaignRunnerOptions off_options;
-  off_options.threads = 1;
-  off_options.reuse_scratch = false;
-  const CampaignRunner off_runner(*env().baseline, off_options);
-  {
-    const OverBudget budget;
-    (void)off_runner.run(specs);
-  }
+  (void)reference_censuses(specs);
 
   EXPECT_EQ(reg.counter_value("bgp.resolve.cache_hit"), 0u);
   EXPECT_EQ(reg.counter_value("sim.scratch_reuse"), 0u);

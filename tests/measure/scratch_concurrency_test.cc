@@ -1,18 +1,20 @@
-// Per-worker SimScratch arenas under concurrency.  Each pool worker owns
-// exactly one recycled-allocation arena and the orchestrator's fallback
-// scratch is thread-local, so a pooled campaign with scratch reuse enabled
-// must be data-race-free — this suite is labelled `tsan` and runs under
+// SimScratch arenas under concurrency.  Every thread — a pool worker or a
+// serial caller — owns exactly one recycled-allocation arena
+// (`Orchestrator::thread_scratch`), so a pooled campaign must be
+// data-race-free — this suite is labelled `tsan` and runs under
 // ThreadSanitizer (-DANYOPT_SANITIZE=thread) to prove it — and must still
-// produce bit-identical results to the serial, reuse-free path.
+// produce bit-identical results to censuses measured with no arena.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "anycast/world.h"
 #include "measure/campaign_runner.h"
 #include "netbase/rng.h"
+#include "netbase/telemetry.h"
 
 namespace anyopt::measure {
 namespace {
@@ -42,11 +44,13 @@ TEST(ScratchConcurrency, PooledScratchReuseMatchesSerialNoReuse) {
   const Orchestrator orchestrator(shared_world());
   const auto specs = specs_for(shared_world().deployment(), 16);
 
-  CampaignRunnerOptions serial_options;
-  serial_options.threads = 1;
-  serial_options.reuse_scratch = false;
-  const CampaignRunner serial(orchestrator, serial_options);
-  const std::vector<Census> want = serial.run(specs);
+  // The reference recycles nothing: every census allocates afresh.
+  std::vector<Census> want;
+  for (const ExperimentSpec& spec : specs) {
+    want.push_back(orchestrator.measure(spec.config, spec.nonce,
+                                        /*scratch=*/nullptr,
+                                        {spec.ordinal, spec.attempt}));
+  }
 
   CampaignRunnerOptions pooled_options;
   pooled_options.threads = 4;
@@ -74,8 +78,7 @@ TEST(ScratchConcurrency, PooledScratchReuseMatchesSerialNoReuse) {
 
 TEST(ScratchConcurrency, ConcurrentRunnersDoNotShareScratch) {
   // Two pooled runners over the same orchestrator, run back to back: each
-  // pool's workers index only their own runner's arenas, and the
-  // orchestrator's thread-local fallback keeps non-worker callers apart.
+  // pool's workers recycle only their own threads' arenas.
   const Orchestrator orchestrator(shared_world());
   const auto specs = specs_for(shared_world().deployment(), 8);
 
@@ -89,6 +92,40 @@ TEST(ScratchConcurrency, ConcurrentRunnersDoNotShareScratch) {
     EXPECT_EQ(a[i].site_of_target, b[i].site_of_target) << "experiment " << i;
     EXPECT_EQ(a[i].rtt_ms, b[i].rtt_ms) << "experiment " << i;
   }
+}
+
+TEST(ScratchConcurrency, SerialThreadKeepsOneArenaAcrossCensusKinds) {
+  // A serial thread parks ONE arena whatever it measures: an overlay batch
+  // that follows a classic batch recycles the classic censuses' buffers
+  // instead of allocating an arena of its own.  A fresh thread starts with
+  // an empty arena, so only the classic batch can have filled it.
+  const Orchestrator orchestrator(shared_world());
+  const anycast::Deployment& depl = shared_world().deployment();
+  const auto classic = specs_for(depl, 2);
+  anycast::AnycastConfig base_config;
+  base_config.announce_order = {SiteId{0}};
+  const bgp::BaseState base = orchestrator.converge_base(base_config, 0xBA5E);
+  ExperimentSpec overlay;
+  overlay.base = &base;
+  overlay.config.announce_order = {SiteId{0}, SiteId{1}};
+  overlay.delta = {bgp::Injection{overlay.config.spacing_s,
+                                  depl.transit_attachment(SiteId{1}), false}};
+  overlay.nonce = mix64(0x0A4E, 1);
+
+  telemetry::set_enabled(true);
+  auto& reg = telemetry::Registry::global();
+  std::uint64_t overlay_reuse = 0;
+  std::thread fresh([&] {
+    const CampaignRunner runner(orchestrator, {.threads = 1});
+    (void)runner.run(classic);
+    const std::uint64_t before = reg.counter_value("sim.scratch_reuse");
+    (void)runner.run({&overlay, 1});
+    overlay_reuse = reg.counter_value("sim.scratch_reuse") - before;
+  });
+  fresh.join();
+  telemetry::set_enabled(false);
+  telemetry::Registry::global().reset();
+  EXPECT_GT(overlay_reuse, 0u);
 }
 
 }  // namespace

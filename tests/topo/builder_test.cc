@@ -169,5 +169,29 @@ TEST(Builder, GoldenFingerprintAt35kAses) {
   EXPECT_EQ(topology_fingerprint(net), kAt35kFingerprint);
 }
 
+TEST(Builder, BoundedConeCheckMatchesFullCone) {
+  // `customer_cone_exceeds` is the bounded form of the full BFS: it must
+  // agree with it for every AS at limits below, at and above the
+  // peer-selection cap (1.2% of the ASes) and around the small cones.
+  const Internet net = build_internet(
+      world_internet(anycast::WorldParams::paper_scale(1897)));
+  const std::size_t n = net.graph.as_count();
+  const std::size_t cap = static_cast<std::size_t>(0.012 * static_cast<double>(n));
+  std::size_t exceeded = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const AsId as{static_cast<AsId::underlying_type>(i)};
+    const std::size_t cone = net.graph.customer_cone(as).size();
+    for (const std::size_t limit : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{3}, cap, cap + 1, n}) {
+      ASSERT_EQ(net.graph.customer_cone_exceeds(as, limit), cone > limit)
+          << "AS " << i << " cone " << cone << " limit " << limit;
+    }
+    exceeded += cone > cap ? 1 : 0;
+  }
+  // Both answers occur at the cap, so the check is not vacuous.
+  EXPECT_GT(exceeded, 0u);
+  EXPECT_LT(exceeded, n);
+}
+
 }  // namespace
 }  // namespace anyopt::topo
